@@ -334,10 +334,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GraphFormatError as exc:
-        print(f"cayleywl: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"cayleywl: {exc}", file=sys.stderr)
         return 1
     except (BoundViolation, EngineMismatch) as exc:

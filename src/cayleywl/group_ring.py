@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .groups import GroupSpec, unit_multipliers
-from .partition import OrderedPartition, RefinementTrace, refine_to_stable
+from .partition import OrderedPartition, RefinementTrace, rank_signatures, refine_to_stable
 
 
 @dataclass(frozen=True)
@@ -52,28 +52,25 @@ def simple_quantity(spec: GroupSpec, elements: Iterable[int]) -> GroupRingElemen
     return GroupRingElement(spec, tuple(coeffs))
 
 
+def _sum_row(spec: GroupSpec, a: int) -> Sequence[int]:
+    """Row ``a`` of the addition table, computed directly for groups too
+    large to have one."""
+    return spec.addition_table[a] if spec.order <= 4096 else spec.sum_row(a)
+
+
 def multiply(u: GroupRingElement, v: GroupRingElement) -> GroupRingElement:
     """Exact convolution over the group; commutative since the group is abelian."""
     if u.spec != v.spec:
         raise ValueError("group ring elements over different groups")
     spec = u.spec
     out = [0] * spec.order
-    if spec.order <= 4096:
-        table = spec.addition_table
-        for a, ca in enumerate(u.coeffs):
-            if ca == 0:
-                continue
-            row = table[a]
-            for b, cb in enumerate(v.coeffs):
-                if cb:
-                    out[row[b]] += ca * cb
-    else:
-        for a, ca in enumerate(u.coeffs):
-            if ca == 0:
-                continue
-            for b, cb in enumerate(v.coeffs):
-                if cb:
-                    out[spec.add(a, b)] += ca * cb
+    for a, ca in enumerate(u.coeffs):
+        if ca == 0:
+            continue
+        row = _sum_row(spec, a)
+        for b, cb in enumerate(v.coeffs):
+            if cb:
+                out[row[b]] += ca * cb
     return GroupRingElement(spec, tuple(out))
 
 
@@ -103,63 +100,39 @@ def extract_by_coefficient(v: GroupRingElement, value: int) -> frozenset[int]:
     return frozenset(g for g, c in enumerate(v.coeffs) if c == value)
 
 
-def _convolve_indicator_sets(spec: GroupSpec, left: tuple[int, ...], right: tuple[int, ...]) -> list[int]:
-    out = [0] * spec.order
-    if spec.order <= 4096:
-        table = spec.addition_table
-        for a in left:
-            row = table[a]
-            for b in right:
-                out[row[b]] += 1
-    else:
-        for a in left:
-            for b in right:
-                out[spec.add(a, b)] += 1
-    return out
-
-
-def _meet_labels(labels: list[int], values: list[int]) -> list[int]:
-    keys: dict[tuple[int, int], int] = {}
-    return [keys.setdefault((lab, val), len(keys)) for lab, val in zip(labels, values)]
-
-
 def refine(partition: OrderedPartition) -> OrderedPartition:
     """One refinement round: meet with the coefficient partitions of all
     pairwise products of class indicators.
 
-    The group is abelian, so only unordered class pairs are convolved; the
-    result equals the meet over all ordered pairs.
+    The coefficient of g in ``C_i * C_j`` counts the pairs (a, b) with
+    a + b = g, a in class i and b in class j, so each g gathers the class
+    pair of every (a, b) summing to it.
     """
     spec = partition.spec
-    n = spec.order
-    labels = list(partition.membership)
-    classes = partition.classes
-    r = len(classes)
-    distinct = len(set(labels))
-    for i in range(r):
-        if distinct == n:
-            break
-        for j in range(i, r):
-            conv = _convolve_indicator_sets(spec, classes[i], classes[j])
-            labels = _meet_labels(labels, conv)
-            distinct = len(set(labels))
-            if distinct == n:
-                break
-    return OrderedPartition.from_labels(spec, labels)
+    labels = partition.membership
+    r = partition.class_count
+    gathered: list[list[int]] = [[] for _ in range(spec.order)]
+    for a, la in enumerate(labels):
+        la *= r
+        for g, lb in zip(_sum_row(spec, a), labels):
+            gathered[g].append(la + lb)
+    return OrderedPartition.from_labels(spec, rank_signatures(labels, gathered))
 
 
 def refine_con(partition: OrderedPartition, con: Iterable[int]) -> OrderedPartition:
-    """One in-neighbor counting round: meet with the coefficient partitions
-    of the connection-set indicator times each class indicator."""
+    """One color-refinement round on Cay(G, con): each element gathers the
+    classes of its in-neighbors h, one per edge ``h -> s + h``.
+
+    Equals the meet with the coefficient partitions of the connection-set
+    indicator times each class indicator.
+    """
     spec = partition.spec
-    con_set = tuple(sorted(set(con)))
-    if not con_set:
-        return partition
-    labels = list(partition.membership)
-    for cls in partition.classes:
-        conv = _convolve_indicator_sets(spec, con_set, cls)
-        labels = _meet_labels(labels, conv)
-    return OrderedPartition.from_labels(spec, labels)
+    labels = partition.membership
+    gathered: list[list[int]] = [[] for _ in range(spec.order)]
+    for s in set(con):
+        for h, g in enumerate(spec.sum_row(s)):
+            gathered[g].append(labels[h])
+    return OrderedPartition.from_labels(spec, rank_signatures(labels, gathered))
 
 
 def stabilize_refine(partition: OrderedPartition) -> RefinementTrace:
@@ -179,7 +152,7 @@ def exponentiation_closure(partition: OrderedPartition) -> OrderedPartition:
     The result is exponentiation-stable and refines the input.
     """
     spec = partition.spec
-    labels = list(partition.membership)
+    result = partition
     for m in unit_multipliers(spec):
         if m == 1:
             continue
@@ -187,8 +160,8 @@ def exponentiation_closure(partition: OrderedPartition) -> OrderedPartition:
         for ci, cls in enumerate(partition.classes):
             for g in cls:
                 image[spec.scale(g, m)] = ci
-        labels = _meet_labels(labels, image)
-    return OrderedPartition.from_labels(spec, labels)
+        result = result.meet(OrderedPartition.from_labels(spec, image))
+    return result
 
 
 def is_exponentiation_stable(partition: OrderedPartition) -> bool:

@@ -88,15 +88,18 @@ class GroupSpec:
             return (i * m) % self.moduli[0]
         return self.index(tuple(r * m for r in self.element(i)))
 
+    def sum_row(self, a: int) -> list[int]:
+        """Indices of ``a + b`` for every element ``b``, in element order."""
+        if len(self.moduli) == 1:
+            return [*range(a, self.order), *range(a)]
+        return [self.add(a, b) for b in range(self.order)]
+
     @cached_property
     def addition_table(self) -> tuple[tuple[int, ...], ...]:
         """Dense |G| x |G| table of :meth:`add`; only for small groups."""
         if self.order > 4096:
             raise ValueError("addition table only materialized for order <= 4096")
-        n = self.order
-        if len(self.moduli) == 1:
-            return tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-        return tuple(tuple(self.add(i, j) for j in range(n)) for i in range(n))
+        return tuple(tuple(self.sum_row(a)) for a in range(self.order))
 
     def __str__(self) -> str:
         return "x".join(f"Z{n}" for n in self.moduli)

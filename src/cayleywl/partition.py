@@ -1,4 +1,5 @@
-"""Ordered partitions of a finite abelian group and refinement traces.
+"""Ordered partitions of a finite abelian group, refinement traces, and the
+kernel and fixed-point loop shared by every refinement engine.
 
 A partition doubles as the basis description of the linear span of its
 class indicator vectors inside the group ring, so the refinement
@@ -138,19 +139,32 @@ class RefinementTrace:
     final: Any
 
 
-def refine_to_stable(
-    start: OrderedPartition,
-    step: Callable[[OrderedPartition], OrderedPartition],
-) -> RefinementTrace:
-    """Apply a refining operator until the partition stops changing."""
+def rank_signatures(old: Sequence[int], gathered: Iterable[Iterable[int]]) -> tuple[int, ...]:
+    """The refinement kernel: one new color per position.
+
+    Position ``i`` gets the rank of ``(old[i], sorted(gathered[i]))`` among
+    the sorted distinct signatures.  Ranking sorted signatures keeps the ids
+    independent of the position order, which canonical labeling relies on.
+    """
+    sigs = [(o, tuple(sorted(g))) for o, g in zip(old, gathered)]
+    ids = {s: i for i, s in enumerate(sorted(set(sigs)))}
+    return tuple(map(ids.__getitem__, sigs))
+
+
+def refine_to_stable(start: Any, step: Callable[[Any], Any]) -> RefinementTrace:
+    """Apply a refining operator until a step no longer raises ``class_count``.
+
+    Works for anything with a ``class_count``: partitions, vertex colorings,
+    pair colorings.  Every step refines its input, so a step that keeps the
+    class count keeps the classes, and its input is the fixed point.
+    """
     current = start
     counts = [current.class_count]
-    rounds = 0
     while True:
         refined = step(current)
-        if refined.classes == current.classes:
+        count = refined.class_count
+        if count == counts[-1]:
             break
         current = refined
-        counts.append(current.class_count)
-        rounds += 1
-    return RefinementTrace(rounds=rounds, class_counts=tuple(counts), final=current)
+        counts.append(count)
+    return RefinementTrace(rounds=len(counts) - 1, class_counts=tuple(counts), final=current)

@@ -16,9 +16,11 @@ from typing import Iterator, Optional
 
 from .groups import GroupSpec, divisor_count, parse_group_spec
 from .group_ring import stabilize_refine
+from .partition import refine_to_stable
 from .tinhofer import TinhoferReport, has_tinhofer_property, individualize
 from .wl import (
     CayleyGraph,
+    VertexColoring,
     build_cayley,
     cr_step,
     induced_smodule,
@@ -97,6 +99,8 @@ class SweepConfig:
     jobs: int = 1
 
     def __post_init__(self) -> None:
+        if not self.n_values:
+            raise ValueError("empty sweep order range")
         if any(n < 2 for n in self.n_values):
             raise ValueError("sweep orders must be >= 2")
         if self.mode not in ("exhaustive", "sampled"):
@@ -253,14 +257,14 @@ def compute_counterexample_rounds() -> tuple[str, ...]:
     cg = counterexample_graph()
     spec = cg.spec
     dg = cg.digraph()
-    coloring = individualize(uniform_coloring(spec.order), spec.identity)
-    rounds = [partition_from_coloring(coloring, spec).to_text()]
-    while True:
-        refined = cr_step(dg, coloring)
-        if refined.class_count == coloring.class_count:
-            break
-        coloring = refined
+    rounds: list[str] = []
+
+    def step(coloring: VertexColoring) -> VertexColoring:
+        # called on the start, on every refined round, and on the fixed point
         rounds.append(partition_from_coloring(coloring, spec).to_text())
+        return cr_step(dg, coloring)
+
+    refine_to_stable(individualize(uniform_coloring(spec.order), spec.identity), step)
     return tuple(rounds)
 
 

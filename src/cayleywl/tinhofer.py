@@ -28,22 +28,15 @@ from .wl import (
 )
 
 
-def individualize(c: VertexColoring, v: int) -> VertexColoring:
-    """Give vertex v a fresh singleton color (placed after all existing ids)."""
+def individualize(c: VertexColoring, *vertices: int) -> VertexColoring:
+    """Give the vertices one shared fresh color, placed after all existing
+    ids (a pair is one vertex in each copy of a disjoint union)."""
     colors = list(c.colors)
-    colors[v] = max(colors) + 1
+    fresh = c.class_count
+    for v in vertices:
+        colors[v] = fresh
     remap = {old: new for new, old in enumerate(sorted(set(colors)))}
-    return VertexColoring(c.n, tuple(remap[x] for x in colors))
-
-
-def _individualize_pair(colors: Sequence[int], v: int, w: int) -> tuple[int, ...]:
-    """Shared fresh color for two vertices of a disjoint-union coloring."""
-    out = list(colors)
-    fresh = max(colors) + 1
-    out[v] = fresh
-    out[w] = fresh
-    remap = {old: new for new, old in enumerate(sorted(set(out)))}
-    return tuple(remap[x] for x in out)
+    return VertexColoring(c.n, tuple(map(remap.__getitem__, colors)))
 
 
 def disjoint_union(a: DiGraph, b: DiGraph) -> DiGraph:
@@ -222,8 +215,7 @@ def tinhofer_iso_test(g: Graph, h: Graph) -> IsoResult:
         v = min(u for u in range(n) if cols[u] == color)
         w = min(u for u in range(dh.n) if cols[n + u] == color)
         state = IndividualizationState(
-            VertexColoring(union.n, _individualize_pair(cols, v, n + w)),
-            state.history + ((v, w),),
+            individualize(stable, v, n + w), state.history + ((v, w),)
         )
 
 
@@ -277,8 +269,8 @@ def has_tinhofer_property(g: Graph, budget: int = 1_000_000) -> TinhoferReport:
                 out.append(v)
         return out
 
-    def stabilize(colors: tuple[int, ...]) -> tuple[int, ...]:
-        return cr_stabilize(union, VertexColoring(union.n, colors)).final.colors
+    def stabilize(c: VertexColoring) -> tuple[int, ...]:
+        return cr_stabilize(union, c).final.colors
 
     def explore(colors: tuple[int, ...]) -> Optional[_Failure]:
         nonlocal nodes
@@ -299,12 +291,13 @@ def has_tinhofer_property(g: Graph, budget: int = 1_000_000) -> TinhoferReport:
                 result = _Failure("non-automorphism", ())
         else:
             eligible = sorted(c for c, k in count_g.items() if k >= 2)
+            coloring = VertexColoring(union.n, colors)
             for color in eligible:
                 vs = [v for v in range(n) if c_g[v] == color]
                 ws = [w for w in range(n) if c_h[w] == color]
                 for v in reps(vs, orbits(c_g)):
                     for w in reps(ws, orbits(c_h)):
-                        child = stabilize(_individualize_pair(colors, v, n + w))
+                        child = stabilize(individualize(coloring, v, n + w))
                         sub = explore(child)
                         if sub is not None:
                             result = _Failure(sub.kind, ((v, w),) + sub.pairs)
@@ -317,7 +310,7 @@ def has_tinhofer_property(g: Graph, budget: int = 1_000_000) -> TinhoferReport:
         return result
 
     try:
-        failure = explore(stabilize((0,) * union.n))
+        failure = explore(stabilize(uniform_coloring(union.n)))
     except _BudgetExceeded:
         return TinhoferReport("budget-exceeded", None, None, nodes)
     if failure is None:

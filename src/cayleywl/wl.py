@@ -8,13 +8,12 @@ same refinement much faster, and the two are cross-validated in tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Sequence, Union
-
-import numpy as np
+from functools import cached_property, partial
+from operator import add
+from typing import Iterable, Union
 
 from .groups import GroupSpec, parse_group_spec
-from .partition import OrderedPartition, RefinementTrace
+from .partition import OrderedPartition, RefinementTrace, rank_signatures, refine_to_stable
 
 
 class GraphFormatError(ValueError):
@@ -95,14 +94,17 @@ Graph = Union[DiGraph, CayleyGraph]
 
 def build_cayley(spec: GroupSpec, con: Iterable[int]) -> DiGraph:
     """Materialize the Cayley graph as a plain digraph."""
-    con_set = tuple(sorted(set(con)))
+    con_set = sorted(set(con))
     if spec.identity in con_set:
         raise ValueError("identity element not allowed in a connection set")
-    edges = []
-    for s in con_set:
-        for h in range(spec.order):
-            edges.append((h, spec.add(s, h)))
-    return DiGraph.from_edges(spec.order, edges)
+    n = spec.order
+    rows = [spec.sum_row(s) for s in con_set]
+    ins: list[list[int]] = [[] for _ in range(n)]
+    for row in rows:
+        for h, g in enumerate(row):
+            ins[g].append(h)
+    outs = [tuple(sorted(heads)) for heads in zip(*rows)] if rows else [()] * n
+    return DiGraph(n, tuple(outs), tuple(tuple(sorted(tails)) for tails in ins))
 
 
 def as_digraph(g: Graph) -> DiGraph:
@@ -132,7 +134,7 @@ class PairColoring:
 
     @property
     def class_count(self) -> int:
-        return max(self.colors) + 1
+        return max(self.colors, default=-1) + 1
 
 
 def initial_pair_coloring(g: Graph) -> PairColoring:
@@ -154,36 +156,20 @@ def initial_pair_coloring(g: Graph) -> PairColoring:
 
 
 def wl2_step(c: PairColoring) -> PairColoring:
-    """One 2-WL round: recolor each pair by its old color together with the
-    multiset over all third vertices v of the color pair (left leg, right leg).
-
-    Fresh ids are assigned by first occurrence in row-major order.
-    """
-    n = c.n
+    """One 2-WL round: recolor each pair (i, j) by its old color together with
+    the multiset over all third vertices v of the color pair
+    ``(c(i, v), c(v, j))``, gathered as ``c(i, v) * k + c(v, j)``."""
+    n, k = c.n, c.class_count
     cols = c.colors
-    sigs = []
-    for i in range(n):
-        row_base = i * n
-        for j in range(n):
-            legs = sorted((cols[row_base + v], cols[v * n + j]) for v in range(n))
-            sigs.append((cols[row_base + j], tuple(legs)))
-    ids: dict[object, int] = {}
-    return PairColoring(n, tuple(ids.setdefault(s, len(ids)) for s in sigs))
+    left = [[x * k for x in cols[i * n : (i + 1) * n]] for i in range(n)]
+    right = [cols[j::n] for j in range(n)]
+    gathered = (map(add, row, col) for row in left for col in right)
+    return PairColoring(n, rank_signatures(cols, gathered))
 
 
 def wl2_stabilize(g: Graph) -> RefinementTrace:
     """Iterate :func:`wl2_step` from the structural coloring to its fixed point."""
-    current = initial_pair_coloring(g)
-    counts = [current.class_count]
-    rounds = 0
-    while True:
-        refined = wl2_step(current)
-        if refined.class_count == current.class_count:
-            break
-        current = refined
-        counts.append(current.class_count)
-        rounds += 1
-    return RefinementTrace(rounds=rounds, class_counts=tuple(counts), final=current)
+    return refine_to_stable(initial_pair_coloring(g), wl2_step)
 
 
 def is_cayley_partition(c: PairColoring, spec: GroupSpec) -> bool:
@@ -289,7 +275,7 @@ class VertexColoring:
 
     @property
     def class_count(self) -> int:
-        return max(self.colors) + 1
+        return max(self.colors, default=-1) + 1
 
     def is_discrete(self) -> bool:
         return self.class_count == self.n
@@ -316,96 +302,21 @@ def partition_from_coloring(c: VertexColoring, spec: GroupSpec) -> OrderedPartit
     return OrderedPartition.from_labels(spec, c.colors)
 
 
-def _cr_round_lists(in_neighbors: Sequence[Sequence[int]], colors: Sequence[int]) -> list[int]:
-    """One naive refinement round; new ids by sorted-signature rank.
-
-    Sorted-rank assignment keeps the ids independent of the vertex labeling,
-    which the canonical-labeling pipeline relies on.
-    """
-    sigs = [
-        (colors[v], tuple(sorted(colors[u] for u in in_neighbors[v])))
-        for v in range(len(colors))
-    ]
-    ids = {s: i for i, s in enumerate(sorted(set(sigs)))}
-    return [ids[s] for s in sigs]
-
-
 def cr_step(g: Graph, c: VertexColoring) -> VertexColoring:
     """One color-refinement round: each vertex is recolored by its old color
     plus the multiset of in-neighbor colors."""
     dg = as_digraph(g)
     if dg.n != c.n:
         raise ValueError("coloring does not match graph size")
-    return VertexColoring(c.n, tuple(_cr_round_lists(dg.in_neighbors, c.colors)))
-
-
-def _cr_stabilize_digraph(dg: DiGraph, c: VertexColoring) -> RefinementTrace:
-    colors = list(c.colors)
-    count = len(set(colors))
-    counts = [count]
-    rounds = 0
-    in_neighbors = dg.in_neighbors
-    while True:
-        new = _cr_round_lists(in_neighbors, colors)
-        new_count = max(new) + 1
-        if new_count == count:
-            break
-        colors = new
-        count = new_count
-        counts.append(count)
-        rounds += 1
-    return RefinementTrace(
-        rounds=rounds,
-        class_counts=tuple(counts),
-        final=VertexColoring(dg.n, tuple(colors)),
-    )
-
-
-def _cr_stabilize_cayley(cg: CayleyGraph, c: VertexColoring) -> RefinementTrace:
-    """Vectorized stabilization: the in-neighbor color rows of a Cayley graph
-    are cyclic rolls of the color grid, one per connection element."""
-    spec = cg.spec
-    if c.n != spec.order:
-        raise ValueError("coloring does not match graph size")
-    if not cg.con:
-        return RefinementTrace(rounds=0, class_counts=(c.class_count,), final=c)
-    shape = spec.moduli
-    axes = tuple(range(len(shape)))
-    shifts = [spec.element(s) for s in cg.con]
-    colors = np.asarray(c.colors, dtype=np.int64)
-    count = int(colors.max()) + 1
-    counts = [count]
-    rounds = 0
-    while True:
-        grid = colors.reshape(shape)
-        rows = np.stack([np.roll(grid, shift, axis=axes).ravel() for shift in shifts])
-        rows.sort(axis=0)
-        sig = np.concatenate([colors[None, :], rows], axis=0).T
-        _, inverse = np.unique(sig, axis=0, return_inverse=True)
-        inverse = inverse.ravel()  # shape differs across numpy versions
-        new_count = int(inverse.max()) + 1
-        if new_count == count:
-            break
-        colors = inverse.astype(np.int64)
-        count = new_count
-        counts.append(count)
-        rounds += 1
-    return RefinementTrace(
-        rounds=rounds,
-        class_counts=tuple(counts),
-        final=VertexColoring(spec.order, tuple(int(x) for x in colors)),
-    )
+    colors = c.colors
+    gathered = (map(colors.__getitem__, ins) for ins in dg.in_neighbors)
+    return VertexColoring(c.n, rank_signatures(colors, gathered))
 
 
 def cr_stabilize(g: Graph, c: VertexColoring) -> RefinementTrace:
-    """Iterate color refinement to the stable coloring.
-
-    Cayley graph descriptors take a vectorized signature-bucket path; plain
-    digraphs run the naive per-round loop, which doubles as the oracle.
-    """
-    if isinstance(g, CayleyGraph):
-        return _cr_stabilize_cayley(g, c)
-    return _cr_stabilize_digraph(g, c)
+    """Iterate color refinement to the stable coloring; a Cayley graph
+    descriptor is materialized as a digraph once."""
+    return refine_to_stable(c, partial(cr_step, as_digraph(g)))
 
 
 # ---------------------------------------------------------------------------
@@ -496,10 +407,12 @@ def parse_adjacency(text: str) -> DiGraph:
         n = int(lines[0])
     except ValueError:
         raise GraphFormatError(f"expected vertex count, got {lines[0]!r}", 0) from None
+    if n < 0:
+        raise GraphFormatError(f"negative vertex count {n}", 0)
     edges = []
     for lineno, ln in enumerate(lines[1:], start=2):
         parts = ln.split()
         if len(parts) != 2:
             raise GraphFormatError(f"expected 'u v' on line {lineno}", lineno)
-        edges.append((int(parts[0]), int(parts[1])))
+        edges.append((_parse_int(parts[0], lineno), _parse_int(parts[1], lineno)))
     return DiGraph.from_edges(n, edges)

@@ -40,7 +40,9 @@ from cayleywl import (
 from cayleywl.group_ring import GroupRingElement
 from cayleywl.spectral import group_spectrum
 from cayleywl.tinhofer import graph_automorphisms
+from cayleywl.partition import RefinementTrace
 from cayleywl.wl import (
+    PairColoring,
     coloring_from_partition,
     initial_cayley_smodule,
     initial_pair_coloring,
@@ -99,6 +101,90 @@ def in_neighbor_split_oracle(
         labels.append((member[v], tuple(sorted(counts.items()))))
     canon = {lab: i for i, lab in enumerate(sorted(set(labels)))}
     return OrderedPartition.from_labels(spec, [canon[l] for l in labels])
+
+
+def cr_round_oracle(in_neighbors, colors) -> list[int]:
+    """One naive refinement round; new ids by sorted-signature rank.
+
+    Sorted-rank assignment keeps the ids independent of the vertex labeling,
+    which the canonical-labeling pipeline relies on.
+    """
+    sigs = [
+        (colors[v], tuple(sorted(colors[u] for u in in_neighbors[v])))
+        for v in range(len(colors))
+    ]
+    ids = {s: i for i, s in enumerate(sorted(set(sigs)))}
+    return [ids[s] for s in sigs]
+
+
+def cr_stabilize_oracle(in_neighbors, colors) -> RefinementTrace:
+    """Iterate :func:`cr_round_oracle` on plain in-neighbor lists until the
+    class count stops rising; the final colors are a tuple."""
+    colors = list(colors)
+    count = len(set(colors))
+    counts = [count]
+    rounds = 0
+    while True:
+        new = cr_round_oracle(in_neighbors, colors)
+        new_count = len(set(new))
+        if new_count == count:
+            break
+        colors = new
+        count = new_count
+        counts.append(count)
+        rounds += 1
+    return RefinementTrace(rounds=rounds, class_counts=tuple(counts), final=tuple(colors))
+
+
+def cayley_in_neighbors(spec: GroupSpec, con: tuple[int, ...]) -> list[list[int]]:
+    """In-neighbors v - s of every vertex v of Cay(G, con), on residue tuples."""
+    out = []
+    for v in range(spec.order):
+        rv = spec.element(v)
+        out.append(sorted(
+            spec.index(tuple((x - y) % m for x, y, m in zip(rv, spec.element(s), spec.moduli)))
+            for s in con
+        ))
+    return out
+
+
+def wl2_step_oracle(c: PairColoring) -> PairColoring:
+    """One 2-WL round: recolor each pair by its old color together with the
+    multiset over all third vertices v of the color pair (left leg, right leg).
+
+    Fresh ids are assigned by first occurrence in row-major order.
+    """
+    n = c.n
+    cols = c.colors
+    sigs = []
+    for i in range(n):
+        row_base = i * n
+        for j in range(n):
+            legs = sorted((cols[row_base + v], cols[v * n + j]) for v in range(n))
+            sigs.append((cols[row_base + j], tuple(legs)))
+    ids: dict[object, int] = {}
+    return PairColoring(n, tuple(ids.setdefault(s, len(ids)) for s in sigs))
+
+
+def first_occurrence(colors) -> tuple[int, ...]:
+    """Colors renumbered by first occurrence: equal exactly when the two
+    colorings induce the same partition of the positions."""
+    ids: dict[int, int] = {}
+    return tuple(ids.setdefault(c, len(ids)) for c in colors)
+
+
+def refine_oracle(partition: OrderedPartition) -> OrderedPartition:
+    """One module refinement round as the meet over all ordered class pairs of
+    the coefficient partitions of ``C_i * C_j``, convolved by :func:`conv_oracle`."""
+    spec = partition.spec
+    indicators = [simple_quantity(spec, cls) for cls in partition.classes]
+    keys = [[lab] for lab in partition.membership]
+    for u in indicators:
+        for v in indicators:
+            for g, coeff in enumerate(conv_oracle(spec, u, v)):
+                keys[g].append(coeff)
+    canon = {key: i for i, key in enumerate(sorted({tuple(k) for k in keys}))}
+    return OrderedPartition.from_labels(spec, [canon[tuple(k)] for k in keys])
 
 
 def is_equitable(spec: GroupSpec, con: tuple[int, ...], partition: OrderedPartition) -> bool:

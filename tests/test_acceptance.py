@@ -39,7 +39,7 @@ from cayleywl.sweep import (
     run_sweep,
 )
 from cayleywl.tinhofer import individualize
-from cayleywl.wl import partition_from_coloring, _cr_stabilize_digraph
+from cayleywl.wl import partition_from_coloring
 
 import invariants
 
@@ -126,7 +126,7 @@ def test_c04_one_individualization():
             sd = stabilizer_subgroup(p, con)
             dg = CayleyGraph(spec, con).digraph()
             for g0 in range(p):
-                trace = _cr_stabilize_digraph(
+                trace = cr_stabilize(
                     dg, individualize(uniform_coloring(p), g0)
                 )
                 got = partition_from_coloring(trace.final, spec)
@@ -153,7 +153,7 @@ def test_c05_two_individualizations():
                     coloring = individualize(
                         individualize(uniform_coloring(p), g0), g1
                     )
-                    trace = _cr_stabilize_digraph(dg, coloring)
+                    trace = cr_stabilize(dg, coloring)
                     assert trace.final.is_discrete(), (p, con, g0, g1)
                     checked += 1
     p = 13
@@ -166,7 +166,7 @@ def test_c05_two_individualizations():
             g0 = draw % p
             g1 = (g0 + 1 + (draw >> 32) % (p - 1)) % p
             coloring = individualize(individualize(uniform_coloring(p), g0), g1)
-            trace = _cr_stabilize_digraph(dg, coloring)
+            trace = cr_stabilize(dg, coloring)
             assert trace.final.is_discrete(), (p, con, g0, g1)
             checked += 1
     elapsed = time.perf_counter() - start

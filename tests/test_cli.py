@@ -171,3 +171,36 @@ def test_counterexample_exits_two_with_diff(capsys):
     assert code == 2
     assert "counterexample mismatch" in err
     assert "expected" in err and "computed" in err
+
+
+def test_zero_vertex_adjacency_file(tmp_path, capsys):
+    path = tmp_path / "empty.txt"
+    path.write_text("0\n")
+    assert run(capsys, "cr", str(path)) == (0, "rounds: 0, classes: \n", "")
+    assert run(capsys, "wl2", str(path)) == (0, "rounds: 0, pair-classes: 0\n", "")
+    code, out, _ = run(capsys, "tinhofer-check", str(path))
+    assert code == 0
+    assert json.loads(out)["property"] is True
+
+
+@pytest.mark.parametrize("text", ["3\n0 x\n", "3\n0 1\n1 2.5\n", "-2\n"])
+def test_adjacency_errors_carry_positions(tmp_path, capsys, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "cr", str(path))
+    assert code == 1 and out == ""
+    assert "at position" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_out_into_missing_directory(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run(capsys, "cr", "Z7:1,6", "--out", str(target))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and "missing" in err
+
+
+def test_sweep_empty_order_range(capsys):
+    code, out, err = run(capsys, "sweep", "--n-min", "5", "--n-max", "3")
+    assert code == 1 and out == ""
+    assert "empty" in err

@@ -17,7 +17,12 @@ from cayleywl import (
     stabilize_refine_con,
 )
 from cayleywl.group_ring import GroupRingElement
-from invariants import conv_oracle, exponentiation_closure_oracle, pushforward_oracle
+from invariants import (
+    conv_oracle,
+    exponentiation_closure_oracle,
+    pushforward_oracle,
+    refine_oracle,
+)
 
 Z7 = GroupSpec((7,))
 Z9 = GroupSpec((9,))
@@ -165,6 +170,25 @@ def test_refine_to_stable_discrete_start():
     trace = stabilize_refine(OrderedPartition.discrete(Z9))
     assert trace.rounds == 0
     assert trace.class_counts == (9,)
+
+
+@given(
+    st.sampled_from([(12,), (16,), (2, 2, 2, 2), (2, 4, 3), (3, 3)]),
+    st.integers(1, 6),
+    st.randoms(use_true_random=False),
+)
+def test_refine_matches_class_pair_oracle(moduli, k, rnd):
+    spec = GroupSpec(moduli)
+    part = OrderedPartition.from_labels(spec, [rnd.randrange(k) for _ in range(spec.order)])
+    assert refine(part).classes == refine_oracle(part).classes
+
+
+def test_sum_rows_above_table_limit():
+    spec = GroupSpec((4099,))
+    u = simple_quantity(spec, (1, 4098))
+    assert multiply(u, u).coeffs[:3] == (2, 0, 1)
+    part = OrderedPartition.from_classes(spec, [[0], range(1, 4099)])
+    assert refine_con(part, (1, 4098)).to_text().startswith("0|1,4098|2,")
 
 
 def test_refine_con_empty_set():

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given, strategies as st
 
 from cayleywl import (
     CayleyGraph,
@@ -28,7 +29,14 @@ from cayleywl.wl import (
     partition_from_coloring,
 )
 from cayleywl.tinhofer import individualize
-from invariants import all_connection_sets, check_wl_module_equivalence
+from invariants import (
+    all_connection_sets,
+    cayley_in_neighbors,
+    check_wl_module_equivalence,
+    cr_stabilize_oracle,
+    first_occurrence,
+    wl2_step_oracle,
+)
 
 Z7 = GroupSpec((7,))
 Z9 = GroupSpec((9,))
@@ -206,6 +214,14 @@ def test_cr_stabilize_examples():
     assert cr_stabilize(cg, uniform_coloring(7)).rounds == 0
 
 
+def _assert_cr_matches_oracle(g, in_neighbors, c):
+    got = cr_stabilize(g, c)
+    want = cr_stabilize_oracle(in_neighbors, c.colors)
+    assert got.final.colors == want.final
+    assert got.rounds == want.rounds
+    assert got.class_counts == want.class_counts
+
+
 def test_cr_fast_path_matches_naive():
     specs = [
         (Z7, (1, 6)),
@@ -215,15 +231,64 @@ def test_cr_fast_path_matches_naive():
     ]
     for spec, con in specs:
         cg = CayleyGraph(spec, con)
+        ins = cayley_in_neighbors(spec, con)
         for v in (None, 0, spec.order - 1):
             c = uniform_coloring(spec.order)
             if v is not None:
                 c = individualize(c, v)
-            fast = cr_stabilize(cg, c)
-            naive = cr_stabilize(cg.digraph(), c)
-            assert fast.rounds == naive.rounds
-            assert fast.final.colors == naive.final.colors
-            assert fast.class_counts == naive.class_counts
+            _assert_cr_matches_oracle(cg, ins, c)
+            _assert_cr_matches_oracle(cg.digraph(), ins, c)
+
+
+@st.composite
+def colored_digraphs(draw, max_n=9):
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=3 * n)) if pairs else []
+    raw = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    ids = {c: i for i, c in enumerate(sorted(set(raw)))}
+    return DiGraph.from_edges(n, edges), VertexColoring(n, tuple(ids[c] for c in raw))
+
+
+@given(colored_digraphs())
+@example((DiGraph.from_edges(0, []), VertexColoring(0, ())))
+@example((DiGraph.from_edges(1, []), VertexColoring(1, (0,))))
+@example((DiGraph.from_edges(4, [(0, 1), (1, 0)]), VertexColoring(4, (0, 0, 0, 0))))
+def test_cr_matches_oracle_on_digraphs(case):
+    dg, c = case
+    _assert_cr_matches_oracle(dg, dg.in_neighbors, c)
+
+
+@pytest.mark.parametrize("moduli", [(2, 2, 2, 2), (2, 4, 3)])
+@given(data=st.data())
+def test_cr_matches_oracle_on_product_groups(moduli, data):
+    spec = GroupSpec(moduli)
+    con = tuple(data.draw(st.sets(st.integers(1, spec.order - 1), max_size=6)))
+    marked = data.draw(st.lists(st.integers(0, spec.order - 1), max_size=2))
+    c = uniform_coloring(spec.order)
+    for v in marked:
+        c = individualize(c, v)
+    _assert_cr_matches_oracle(CayleyGraph(spec, con), cayley_in_neighbors(spec, con), c)
+
+
+@given(colored_digraphs(max_n=6))
+@example((DiGraph.from_edges(0, []), VertexColoring(0, ())))
+@example((DiGraph.from_edges(1, []), VertexColoring(1, (0,))))
+def test_wl2_matches_oracle_on_digraphs(case):
+    dg, _ = case
+    got = wl2_stabilize(dg)
+    c = initial_pair_coloring(dg)
+    counts = [c.class_count]
+    while True:
+        stepped = wl2_step_oracle(c)
+        assert first_occurrence(wl2_step(c).colors) == stepped.colors
+        if stepped.class_count == c.class_count:
+            break
+        c = stepped
+        counts.append(c.class_count)
+    assert got.rounds == len(counts) - 1
+    assert got.class_counts == tuple(counts)
+    assert first_occurrence(got.final.colors) == first_occurrence(c.colors)
 
 
 def test_cr_class_counts_never_decrease():
