@@ -20,7 +20,6 @@ from .sweep import (
     CounterexampleMismatch,
     EngineMismatch,
     SweepConfig,
-    compute_counterexample_rounds,
     reproduce_counterexample,
     run_sweep,
 )
@@ -33,11 +32,11 @@ from .wl import (
     initial_cayley_smodule,
     parse_adjacency,
     parse_cayley_graph,
-    partition_from_coloring,
     cr_stabilize,
     uniform_coloring,
     wl2_stabilize,
 )
+from .wl import _parse_int, _residue_index
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,8 +66,8 @@ def _parse_vertex(token: str, g: Graph) -> int:
     if token.startswith("("):
         if not isinstance(g, CayleyGraph):
             raise GraphFormatError("residue tuples need a Cayley graph input", 0)
-        residues = tuple(int(t) for t in token.strip("()").split(","))
-        return g.spec.index(residues)
+        residues = tuple(_parse_int(t, 0) for t in token.strip("()").split(","))
+        return _residue_index(g.spec, residues, 0)
     try:
         v = int(token)
     except ValueError:
@@ -82,30 +81,27 @@ def _classes_json(p: OrderedPartition) -> list[list[int]]:
     return [list(c) for c in p.classes]
 
 
+def _rounds_text(fmt: str, rounds: int, key: str, value: object, shown: object) -> str:
+    """One ``wl2``/``cr`` result: ``value`` goes into JSON, ``shown`` into
+    csv and text, and the text format spells ``key`` with dashes."""
+    if fmt == "json":
+        return json.dumps({"rounds": rounds, key: value}, sort_keys=True) + "\n"
+    if fmt == "csv":
+        return f"rounds,{key}\n{rounds},{shown}\n"
+    return f"rounds: {rounds}, {key.replace('_', '-')}: {shown}\n"
+
+
 def _cmd_wl2(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     trace = wl2_stabilize(g)
     if isinstance(g, CayleyGraph):
         module = induced_smodule(trace.final, g.spec)
-        if args.format == "json":
-            text = json.dumps(
-                {"rounds": trace.rounds, "classes": _classes_json(module)},
-                sort_keys=True,
-            ) + "\n"
-        elif args.format == "csv":
-            text = f"rounds,classes\n{trace.rounds},{module.to_text()}\n"
-        else:
-            text = f"rounds: {trace.rounds}, classes: {module.to_text()}\n"
+        text = _rounds_text(
+            args.format, trace.rounds, "classes", _classes_json(module), module.to_text()
+        )
     else:
-        if args.format == "json":
-            text = json.dumps(
-                {"rounds": trace.rounds, "pair_classes": trace.final.class_count},
-                sort_keys=True,
-            ) + "\n"
-        elif args.format == "csv":
-            text = f"rounds,pair_classes\n{trace.rounds},{trace.final.class_count}\n"
-        else:
-            text = f"rounds: {trace.rounds}, pair-classes: {trace.final.class_count}\n"
+        count = trace.final.class_count
+        text = _rounds_text(args.format, trace.rounds, "pair_classes", count, count)
     _emit(text, args.out)
     return 0
 
@@ -117,24 +113,9 @@ def _cmd_cr(args: argparse.Namespace) -> int:
     for token in args.individualize or []:
         coloring = individualize(coloring, _parse_vertex(token, g))
     trace = cr_stabilize(g, coloring)
-    if isinstance(g, CayleyGraph):
-        classes_text = partition_from_coloring(trace.final, g.spec).to_text()
-    else:
-        classes_text = "|".join(
-            ",".join(str(v) for v in c) for c in trace.final.classes()
-        )
-    if args.format == "json":
-        text = json.dumps(
-            {
-                "rounds": trace.rounds,
-                "classes": [list(c) for c in trace.final.classes()],
-            },
-            sort_keys=True,
-        ) + "\n"
-    elif args.format == "csv":
-        text = f"rounds,classes\n{trace.rounds},{classes_text}\n"
-    else:
-        text = f"rounds: {trace.rounds}, classes: {classes_text}\n"
+    classes = trace.final.classes()
+    shown = "|".join(",".join(str(v) for v in c) for c in classes)
+    text = _rounds_text(args.format, trace.rounds, "classes", [list(c) for c in classes], shown)
     _emit(text, args.out)
     return 0
 
@@ -197,9 +178,15 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     return 0
 
 
+def _node_budget(args: argparse.Namespace) -> int:
+    if args.max_nodes < 1:
+        raise ValueError(f"--max-nodes must be >= 1, got {args.max_nodes}")
+    return args.max_nodes
+
+
 def _cmd_tinhofer_check(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
-    report = has_tinhofer_property(g, budget=args.max_nodes)
+    budget = _node_budget(args)
+    report = has_tinhofer_property(_load_graph(args.graph), budget=budget)
     payload = {
         "property": {"true": True, "false": False}.get(report.status),
         "status": report.status,
@@ -254,7 +241,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_counterexample(args: argparse.Namespace) -> int:
-    report = reproduce_counterexample(budget=args.max_nodes)
+    report = reproduce_counterexample(budget=_node_budget(args))
     lines = ["round class lists (element indices, index = 4a+b):"]
     for i, text in enumerate(report.computed_rounds):
         lines.append(f"  round {i}: {text}")
@@ -343,7 +330,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CounterexampleMismatch as exc:
         print("cayleywl: counterexample mismatch", file=sys.stderr)
         print(str(exc), file=sys.stderr)
-        for i, text in enumerate(compute_counterexample_rounds()):
+        for i, text in enumerate(exc.computed):
             print(f"  computed round {i}: {text}", file=sys.stderr)
         return 2
 

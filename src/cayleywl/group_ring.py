@@ -7,12 +7,12 @@ produce coefficients in ``[0, |G|]``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .groups import GroupSpec, unit_multipliers
 from .partition import OrderedPartition, RefinementTrace, rank_signatures, refine_to_stable
+from .wl import build_cayley, coloring_from_partition, cr_stabilize, cr_step, partition_from_coloring
 
 
 @dataclass(frozen=True)
@@ -120,19 +120,14 @@ def refine(partition: OrderedPartition) -> OrderedPartition:
 
 
 def refine_con(partition: OrderedPartition, con: Iterable[int]) -> OrderedPartition:
-    """One color-refinement round on Cay(G, con): each element gathers the
-    classes of its in-neighbors h, one per edge ``h -> s + h``.
+    """One color-refinement round on Cay(G, con), read as a partition.
 
     Equals the meet with the coefficient partitions of the connection-set
     indicator times each class indicator.
     """
     spec = partition.spec
-    labels = partition.membership
-    gathered: list[list[int]] = [[] for _ in range(spec.order)]
-    for s in set(con):
-        for h, g in enumerate(spec.sum_row(s)):
-            gathered[g].append(labels[h])
-    return OrderedPartition.from_labels(spec, rank_signatures(labels, gathered))
+    stepped = cr_step(build_cayley(spec, con), coloring_from_partition(partition))
+    return partition_from_coloring(stepped, spec)
 
 
 def stabilize_refine(partition: OrderedPartition) -> RefinementTrace:
@@ -141,9 +136,10 @@ def stabilize_refine(partition: OrderedPartition) -> RefinementTrace:
 
 
 def stabilize_refine_con(partition: OrderedPartition, con: Iterable[int]) -> RefinementTrace:
-    """Iterate :func:`refine_con` with a fixed connection set to its fixed point."""
-    con_set = tuple(sorted(set(con)))
-    return refine_to_stable(partition, partial(refine_con, con=con_set))
+    """Color refinement on Cay(G, con) from the partition to its fixed point."""
+    spec = partition.spec
+    trace = cr_stabilize(build_cayley(spec, con), coloring_from_partition(partition))
+    return replace(trace, final=partition_from_coloring(trace.final, spec))
 
 
 def exponentiation_closure(partition: OrderedPartition) -> OrderedPartition:

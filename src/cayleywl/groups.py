@@ -143,26 +143,28 @@ def unit_multipliers(spec: GroupSpec) -> list[int]:
     return [m for m in range(1, order) if math.gcd(m, order) == 1]
 
 
+def multiplier_orbits(spec: GroupSpec, multipliers: Sequence[int], origin: int = 0):
+    """Orbits of ``g -> origin + m*(g - origin)`` over multipliers closed under
+    multiplication (the units mod |G| or a subgroup of them; 1 may be left out)."""
+    from .partition import OrderedPartition
+
+    labels = [-1] * spec.order
+    for g in spec.elements():
+        if labels[g] == -1:
+            offset = spec.add(g, spec.neg(origin))
+            labels[g] = g
+            for m in multipliers:
+                labels[spec.add(origin, spec.scale(offset, m))] = g
+    return OrderedPartition.from_labels(spec, labels)
+
+
 def power_equivalence_classes(spec: GroupSpec):
     """Partition of the group into power-equivalence classes.
 
     Two elements are equivalent when one is a unit multiple of the other.
     The class count is the divisor count of ``n`` for cyclic ``Z_n``.
     """
-    from .partition import OrderedPartition
-
-    n = spec.order
-    units = unit_multipliers(spec) or [0]
-    labels = [-1] * n
-    next_label = 0
-    for g in range(n):
-        if labels[g] != -1:
-            continue
-        for m in units:
-            labels[spec.scale(g, m)] = next_label
-        labels[g] = next_label
-        next_label += 1
-    return OrderedPartition.from_labels(spec, labels)
+    return multiplier_orbits(spec, unit_multipliers(spec))
 
 
 def power_class_count(spec: GroupSpec) -> int:

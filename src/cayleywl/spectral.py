@@ -12,7 +12,7 @@ import cmath
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .groups import GroupSpec, is_prime
+from .groups import GroupSpec, is_prime, multiplier_orbits
 from .partition import OrderedPartition
 
 
@@ -53,17 +53,7 @@ def stabilizer_subgroup(p: int, con: Iterable[int]) -> StabilizerData:
 def eigenvalue_classes(sd: StabilizerData) -> OrderedPartition:
     """Partition of 0..p-1 into {0} plus the stabilizer cosets; character
     indices in the same class have equal adjacency eigenvalues."""
-    p = sd.p
-    labels = [-1] * p
-    labels[0] = 0
-    next_label = 1
-    for a in range(1, p):
-        if labels[a] != -1:
-            continue
-        for h in sd.h_elements:
-            labels[(a * h) % p] = next_label
-        next_label += 1
-    return OrderedPartition.from_labels(sd.spec, labels)
+    return multiplier_orbits(sd.spec, sd.h_elements)
 
 
 def numeric_spectrum(sd: StabilizerData, tolerance: float = 1e-9) -> list[complex]:
@@ -109,14 +99,4 @@ def predicted_individualized_partition(sd: StabilizerData, g0: int) -> OrderedPa
     p = sd.p
     if not 0 <= g0 < p:
         raise ValueError(f"vertex {g0} out of range for Z_{p}")
-    labels = [-1] * p
-    labels[g0] = 0
-    next_label = 1
-    for a in range(1, p):
-        v = (g0 + a) % p
-        if labels[v] != -1:
-            continue
-        for h in sd.h_elements:
-            labels[(g0 + a * h) % p] = next_label
-        next_label += 1
-    return OrderedPartition.from_labels(sd.spec, labels)
+    return multiplier_orbits(sd.spec, sd.h_elements, origin=g0)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from .groups import GroupSpec, is_prime
 from .wl import (
@@ -166,16 +166,22 @@ def coloring_orbits(dg: DiGraph, colors: Sequence[int]) -> tuple[int, ...]:
 # Tinhofer procedure
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IndividualizationState:
-    """Coloring of the disjoint union plus the individualized pairs so far.
-
-    The coloring is kept stable (post-refinement) between decisions; each
-    recorded pair was same-colored when chosen and received a shared fresh
-    color."""
-
-    coloring: VertexColoring
-    history: tuple[tuple[int, int], ...]
+def _judge(dg: DiGraph, dh: DiGraph, colors: Sequence[int]) -> tuple[str, Any]:
+    """Judge a stable coloring of the disjoint union of dg and dh:
+    ``("mismatch", None)`` when the copies' color multisets differ,
+    ``("split", colors)`` with the colors held by two or more vertices per
+    copy, ascending, else ``("leaf", perm)`` with the color-matching
+    bijection dg -> dh, or None when it does not preserve edges."""
+    n = dg.n
+    count_g = Counter(colors[:n])
+    if count_g != Counter(colors[n:]):
+        return "mismatch", None
+    eligible = sorted(c for c, k in count_g.items() if k >= 2)
+    if eligible:
+        return "split", eligible
+    where_h = {c: w for w, c in enumerate(colors[n:])}
+    perm = tuple(where_h[c] for c in colors[:n])
+    return "leaf", perm if _preserves_edges(dg, dh, perm) else None
 
 
 @dataclass(frozen=True)
@@ -196,27 +202,19 @@ def tinhofer_iso_test(g: Graph, h: Graph) -> IsoResult:
     dg, dh = as_digraph(g), as_digraph(h)
     union = disjoint_union(dg, dh)
     n = dg.n
-    state = IndividualizationState(uniform_coloring(union.n), ())
+    coloring = uniform_coloring(union.n)
+    history: tuple[tuple[int, int], ...] = ()
     while True:
-        stable = cr_stabilize(union, state.coloring).final
-        state = IndividualizationState(stable, state.history)
-        cols = stable.colors
-        count_g = Counter(cols[:n])
-        count_h = Counter(cols[n:])
-        if count_g != count_h:
-            return IsoResult("non-isomorphic", None, state.history)
-        if not count_g or max(count_g.values()) == 1:
-            where_h = {c: w for w, c in enumerate(cols[n:])}
-            perm = tuple(where_h[c] for c in cols[:n])
-            if _preserves_edges(dg, dh, perm):
-                return IsoResult("isomorphic", perm, state.history)
-            return IsoResult("refuted-run", None, state.history)
-        color = min(c for c, k in count_g.items() if k >= 2)
-        v = min(u for u in range(n) if cols[u] == color)
-        w = min(u for u in range(dh.n) if cols[n + u] == color)
-        state = IndividualizationState(
-            individualize(stable, v, n + w), state.history + ((v, w),)
-        )
+        stable = cr_stabilize(union, coloring).final
+        kind, found = _judge(dg, dh, stable.colors)
+        if kind == "mismatch":
+            return IsoResult("non-isomorphic", None, history)
+        if kind == "leaf":
+            return IsoResult("refuted-run" if found is None else "isomorphic", found, history)
+        v = stable.colors.index(found[0])
+        w = stable.colors.index(found[0], n) - n
+        coloring = individualize(stable, v, n + w)
+        history += ((v, w),)
 
 
 @dataclass(frozen=True)
@@ -280,19 +278,16 @@ def has_tinhofer_property(g: Graph, budget: int = 1_000_000) -> TinhoferReport:
         if colors in memo:
             return memo[colors]
         c_g, c_h = colors[:n], colors[n:]
-        count_g = Counter(c_g)
+        kind, found = _judge(dg, dg, colors)
         result: Optional[_Failure] = None
-        if count_g != Counter(c_h):
+        if kind == "mismatch":
             result = _Failure("color-multiset-mismatch", ())
-        elif not count_g or max(count_g.values()) == 1:
-            where_h = {c: w for w, c in enumerate(c_h)}
-            perm = tuple(where_h[c] for c in c_g)
-            if not _preserves_edges(dg, dg, perm):
+        elif kind == "leaf":
+            if found is None:
                 result = _Failure("non-automorphism", ())
         else:
-            eligible = sorted(c for c, k in count_g.items() if k >= 2)
             coloring = VertexColoring(union.n, colors)
-            for color in eligible:
+            for color in found:
                 vs = [v for v in range(n) if c_g[v] == color]
                 ws = [w for w in range(n) if c_h[w] == color]
                 for v in reps(vs, orbits(c_g)):

@@ -137,20 +137,22 @@ class PairColoring:
         return max(self.colors, default=-1) + 1
 
 
+def _pair_category(fwd: bool, bwd: bool) -> int:
+    """Structural category of an off-diagonal pair: non-edge 1, forward-only
+    2, backward-only 3, bidirectional 4 (the diagonal is 0)."""
+    return 1 + fwd + 2 * bwd
+
+
 def initial_pair_coloring(g: Graph) -> PairColoring:
     """Structural coloring of all pairs: diagonal, non-edge, forward-only,
     backward-only, bidirectional; only realized categories receive ids."""
     dg = as_digraph(g)
     n = dg.n
-    raw = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                raw.append(0)
-            else:
-                fwd = dg.has_edge(i, j)
-                bwd = dg.has_edge(j, i)
-                raw.append(4 if fwd and bwd else 2 if fwd else 3 if bwd else 1)
+    raw = [
+        0 if i == j else _pair_category(dg.has_edge(i, j), dg.has_edge(j, i))
+        for i in range(n)
+        for j in range(n)
+    ]
     realized = {cat: idx for idx, cat in enumerate(sorted(set(raw)))}
     return PairColoring(n, tuple(realized[c] for c in raw))
 
@@ -172,42 +174,27 @@ def wl2_stabilize(g: Graph) -> RefinementTrace:
     return refine_to_stable(initial_pair_coloring(g), wl2_step)
 
 
+def _difference_rows(spec: GroupSpec):
+    """Row g lists ``h - g`` for every element h: row 0 read through it is
+    row g of a translation-invariant pair coloring."""
+    return (spec.sum_row(spec.neg(g)) for g in spec.elements())
+
+
 def is_cayley_partition(c: PairColoring, spec: GroupSpec) -> bool:
-    """Check translation invariance, the diagonal forming a class, and
-    closure of the class set under transposition."""
+    """Check translation invariance (every row is row 0 read through its
+    difference row), then the diagonal forming a class and closure of the
+    class set under transposition, which reduce to conditions on row 0."""
     n = spec.order
     if c.n != n:
         raise ValueError(f"pair coloring on {c.n} vertices does not fit {spec}")
     cols = c.colors
-    diag = cols[0]
-    for g in range(n):
-        if cols[g * n + g] != diag:
+    row0 = cols[:n]
+    for g, diffs in enumerate(_difference_rows(spec)):
+        if cols[g * n : (g + 1) * n] != tuple(map(row0.__getitem__, diffs)):
             return False
-    for i in range(n):
-        for j in range(n):
-            if i != j and cols[i * n + j] == diag:
-                return False
-    # translations are generated by the per-factor unit shifts
-    generators = []
-    for k, modulus in enumerate(spec.moduli):
-        if modulus > 1:
-            residues = [0] * len(spec.moduli)
-            residues[k] = 1
-            generators.append(spec.index(residues))
-    for t in generators:
-        for g1 in range(n):
-            tg1 = spec.add(g1, t)
-            for g2 in range(n):
-                if cols[g1 * n + g2] != cols[tg1 * n + spec.add(g2, t)]:
-                    return False
-    transpose_of: dict[int, int] = {}
-    for i in range(n):
-        for j in range(n):
-            color = cols[i * n + j]
-            flipped = cols[j * n + i]
-            if transpose_of.setdefault(color, flipped) != flipped:
-                return False
-    return True
+    # closed under transposition: the d of one color have -d of one color
+    transposed = {(color, row0[spec.neg(d)]) for d, color in enumerate(row0)}
+    return row0[0] not in row0[1:] and len(transposed) == len(set(row0))
 
 
 def induced_smodule(c: PairColoring, spec: GroupSpec) -> OrderedPartition:
@@ -221,15 +208,9 @@ def induced_smodule(c: PairColoring, spec: GroupSpec) -> OrderedPartition:
 def pair_coloring_from_smodule(partition: OrderedPartition) -> PairColoring:
     """Rebuild the pair coloring whose identity row realizes the partition:
     the color of (g1, g2) is the class of g2 - g1."""
-    spec = partition.spec
-    n = spec.order
     member = partition.membership
-    cols = []
-    for g1 in range(n):
-        neg_g1 = spec.neg(g1)
-        for g2 in range(n):
-            cols.append(member[spec.add(g2, neg_g1)])
-    return PairColoring(n, tuple(cols))
+    cols = [member[d] for diffs in _difference_rows(partition.spec) for d in diffs]
+    return PairColoring(partition.spec.order, tuple(cols))
 
 
 def initial_cayley_smodule(spec: GroupSpec, con: Iterable[int]) -> OrderedPartition:
@@ -240,18 +221,10 @@ def initial_cayley_smodule(spec: GroupSpec, con: Iterable[int]) -> OrderedPartit
     if spec.identity in con_set:
         raise ValueError("identity element not allowed in a connection set")
     neg = {spec.neg(s) for s in con_set}
-    labels = []
-    for g in range(spec.order):
-        if g == spec.identity:
-            labels.append(0)
-        elif g in con_set and g in neg:
-            labels.append(4)
-        elif g in con_set:
-            labels.append(2)
-        elif g in neg:
-            labels.append(3)
-        else:
-            labels.append(1)
+    labels = [
+        0 if g == spec.identity else _pair_category(g in con_set, g in neg)
+        for g in spec.elements()
+    ]
     return OrderedPartition.from_labels(spec, labels)
 
 
@@ -348,17 +321,20 @@ def parse_cayley_graph(text: str) -> CayleyGraph:
                 con.append(value)
         else:
             for residues, pos in _split_tuples(body, offset):
-                if len(residues) != len(spec.moduli):
-                    raise GraphFormatError(
-                        f"expected {len(spec.moduli)} residues per element", pos
-                    )
-                for r, modulus in zip(residues, spec.moduli):
-                    if not 0 <= r < modulus:
-                        raise GraphFormatError(f"residue {r} out of range", pos)
-                con.append(spec.index(residues))
+                con.append(_residue_index(spec, residues, pos))
     if spec.identity in con:
         raise GraphFormatError("identity element not allowed in connection set", colon + 1)
     return CayleyGraph(spec, tuple(sorted(set(con))))
+
+
+def _residue_index(spec: GroupSpec, residues: tuple[int, ...], pos: int) -> int:
+    """Element index of a residue tuple, each residue canonical for its factor."""
+    if len(residues) != len(spec.moduli):
+        raise GraphFormatError(f"expected {len(spec.moduli)} residues per element", pos)
+    for r, modulus in zip(residues, spec.moduli):
+        if not 0 <= r < modulus:
+            raise GraphFormatError(f"residue {r} out of range", pos)
+    return spec.index(residues)
 
 
 def _split_commas(body: str, offset: int):
@@ -398,21 +374,32 @@ def _split_tuples(body: str, offset: int):
 
 def parse_adjacency(text: str) -> DiGraph:
     """Parse the plain edge-list format: a header line with the vertex count,
-    then one ``u v`` pair per line."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines:
+    then one ``u v`` pair per line.  Edge positions are 1-based line numbers,
+    blank lines included."""
+    numbered = enumerate(map(str.strip, text.splitlines()), start=1)
+    lines = ((lineno, ln) for lineno, ln in numbered if ln)
+    lineno, header = next(lines, (0, ""))
+    if not header:
         raise GraphFormatError("empty adjacency input", 0)
     try:
-        n = int(lines[0])
+        n = int(header)
     except ValueError:
-        raise GraphFormatError(f"expected vertex count, got {lines[0]!r}", 0) from None
+        raise GraphFormatError(f"expected vertex count, got {header!r}", 0) from None
     if n < 0:
         raise GraphFormatError(f"negative vertex count {n}", 0)
-    edges = []
-    for lineno, ln in enumerate(lines[1:], start=2):
-        parts = ln.split()
-        if len(parts) != 2:
-            raise GraphFormatError(f"expected 'u v' on line {lineno}", lineno)
-        edges.append((_parse_int(parts[0], lineno), _parse_int(parts[1], lineno)))
-    return DiGraph.from_edges(n, edges)
+
+    def edges():
+        nonlocal lineno
+        for lineno, ln in lines:
+            parts = ln.split()
+            if len(parts) != 2:
+                raise GraphFormatError(f"expected 'u v' on line {lineno}", lineno)
+            yield _parse_int(parts[0], lineno), _parse_int(parts[1], lineno)
+
+    try:
+        return DiGraph.from_edges(n, edges())
+    except GraphFormatError:
+        raise
+    except ValueError as exc:
+        # from_edges checks each edge as it draws it, so lineno is its line
+        raise GraphFormatError(str(exc), lineno) from None

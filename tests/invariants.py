@@ -166,6 +166,43 @@ def wl2_step_oracle(c: PairColoring) -> PairColoring:
     return PairColoring(n, tuple(ids.setdefault(s, len(ids)) for s in sigs))
 
 
+def is_cayley_partition_oracle(c: PairColoring, spec: GroupSpec) -> bool:
+    """Cayley-partition check on every pair: the diagonal is one class,
+    every per-factor unit shift preserves the coloring, and transposition
+    maps classes onto classes."""
+    n = spec.order
+    cols = c.colors
+    diag = cols[0]
+    for g in range(n):
+        if cols[g * n + g] != diag:
+            return False
+    for i in range(n):
+        for j in range(n):
+            if i != j and cols[i * n + j] == diag:
+                return False
+    # translations are generated by the per-factor unit shifts
+    generators = []
+    for k, modulus in enumerate(spec.moduli):
+        if modulus > 1:
+            residues = [0] * len(spec.moduli)
+            residues[k] = 1
+            generators.append(spec.index(residues))
+    for t in generators:
+        for g1 in range(n):
+            tg1 = spec.add(g1, t)
+            for g2 in range(n):
+                if cols[g1 * n + g2] != cols[tg1 * n + spec.add(g2, t)]:
+                    return False
+    transpose_of: dict[int, int] = {}
+    for i in range(n):
+        for j in range(n):
+            color = cols[i * n + j]
+            flipped = cols[j * n + i]
+            if transpose_of.setdefault(color, flipped) != flipped:
+                return False
+    return True
+
+
 def first_occurrence(colors) -> tuple[int, ...]:
     """Colors renumbered by first occurrence: equal exactly when the two
     colorings induce the same partition of the positions."""

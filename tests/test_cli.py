@@ -101,6 +101,20 @@ def test_individualize_vertex_out_of_range(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("token", ["(0,9)", "(0,x)"])
+def test_individualize_residue_tuple_checked(capsys, token):
+    code, out, err = run(capsys, "cr", "Z4xZ4:(1,0)", "--individualize", token)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and "at position" in err
+
+
+@pytest.mark.parametrize("command", [["tinhofer-check", "Z7:1,6"], ["counterexample"]])
+def test_max_nodes_below_one(capsys, command):
+    code, out, err = run(capsys, *command, "--max-nodes", "0")
+    assert code == 1 and out == ""
+    assert err == "cayleywl: --max-nodes must be >= 1, got 0\n"
+
+
 def test_unknown_subcommand_exits_one():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -183,13 +197,25 @@ def test_zero_vertex_adjacency_file(tmp_path, capsys):
     assert json.loads(out)["property"] is True
 
 
-@pytest.mark.parametrize("text", ["3\n0 x\n", "3\n0 1\n1 2.5\n", "-2\n"])
+# adjacency text -> expected position: the 1-based line of a bad edge line,
+# blank lines included, or 0 for the header
+ADJACENCY_ERRORS = {
+    "3\n0 x\n": 2,
+    "3\n0 1\n1 2.5\n": 3,
+    "-2\n": 0,
+    "3\n0 5\n": 2,
+    "3\n1 1\n": 2,
+    "3\n\n\n0 x\n": 4,
+}
+
+
+@pytest.mark.parametrize("text", ADJACENCY_ERRORS)
 def test_adjacency_errors_carry_positions(tmp_path, capsys, text):
     path = tmp_path / "bad.txt"
     path.write_text(text)
     code, out, err = run(capsys, "cr", str(path))
     assert code == 1 and out == ""
-    assert "at position" in err
+    assert err.endswith(f" at position {ADJACENCY_ERRORS[text]}\n")
     assert len(err.splitlines()) == 1
 
 

@@ -205,6 +205,8 @@ def test_refine_con_chain():
     trace = stabilize_refine_con(p0, {1, 6})
     assert trace.rounds == 2
     assert trace.final.to_text() == "0|1,6|2,5|3,4"
+    with pytest.raises(ValueError):
+        stabilize_refine_con(p0, {0, 1})
 
 
 def test_exponentiation_closure():

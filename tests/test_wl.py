@@ -35,6 +35,7 @@ from invariants import (
     check_wl_module_equivalence,
     cr_stabilize_oracle,
     first_occurrence,
+    is_cayley_partition_oracle,
     wl2_step_oracle,
 )
 
@@ -142,6 +143,41 @@ def test_is_cayley_partition():
     assert not is_cayley_partition(PairColoring(9, tuple(broken)), Z9)
 
 
+def _translation_invariant(spec, labels):
+    """Pair colors ``labels[j - i]``, differences taken on residue tuples."""
+    elems = [spec.element(g) for g in range(spec.order)]
+    return [labels[spec.index([b - a for a, b in zip(ei, ej)])] for ei in elems for ej in elems]
+
+
+@pytest.mark.parametrize("moduli", [(9,), (2, 4), (2, 2, 2)])
+@given(
+    st.sampled_from(["cayley", "diagonal", "split", "translation", "transpose"]),
+    st.integers(1, 4),
+    st.randoms(use_true_random=False),
+)
+def test_is_cayley_partition_matches_oracle(moduli, breakage, k, rnd):
+    spec = GroupSpec(moduli)
+    n = spec.order
+    labels = [0] + [rnd.randint(1, k) for _ in range(n - 1)]
+    if breakage != "transpose":
+        for g in range(n):  # close every class under negation
+            labels[spec.neg(g)] = labels[g]
+    if breakage == "diagonal":
+        labels[rnd.randrange(1, n)] = 0
+    cols = _translation_invariant(spec, labels)
+    if breakage == "split":
+        v = rnd.randrange(n)
+        cols[v * n + v] = k + 1
+    if breakage == "translation":
+        i, j = rnd.sample(range(n), 2)
+        cols[i * n + j] = (cols[i * n + j] + 1) % (k + 2)
+    c = PairColoring(n, first_occurrence(cols))
+    got = is_cayley_partition(c, spec)
+    assert got == is_cayley_partition_oracle(c, spec)
+    if breakage != "transpose":
+        assert got == (breakage == "cayley")
+
+
 def test_induced_smodule_examples():
     g = build_cayley(Z9, [1, 3, 6, 8])
     c = initial_pair_coloring(g)
@@ -174,9 +210,9 @@ def test_round_trip_requires_negation_closed_classes():
 
 
 def test_initial_smodule_matches_pair_construction():
-    for n in (4, 5, 6, 7):
-        spec = GroupSpec((n,))
-        for con in all_connection_sets(n):
+    specs = [GroupSpec((n,)) for n in (4, 5, 6, 7)] + [GroupSpec((2, 4)), GroupSpec((3, 3))]
+    for spec in specs:
+        for con in all_connection_sets(spec.order):
             direct = initial_cayley_smodule(spec, con)
             via_pairs = induced_smodule(initial_pair_coloring(build_cayley(spec, con)), spec)
             assert direct.classes == via_pairs.classes
