@@ -36,7 +36,7 @@ from .wl import (
     uniform_coloring,
     wl2_stabilize,
 )
-from .wl import _parse_int, _residue_index
+from .wl import _residue_index, _split_tuples
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,8 +66,12 @@ def _parse_vertex(token: str, g: Graph) -> int:
     if token.startswith("("):
         if not isinstance(g, CayleyGraph):
             raise GraphFormatError("residue tuples need a Cayley graph input", 0)
-        residues = tuple(_parse_int(t, 0) for t in token.strip("()").split(","))
-        return _residue_index(g.spec, residues, 0)
+        tuples = _split_tuples(token, 0)
+        residues, pos = next(tuples)
+        extra = next(tuples, None)
+        if extra is not None:
+            raise GraphFormatError("expected one residue tuple", extra[1])
+        return _residue_index(g.spec, residues, pos)
     try:
         v = int(token)
     except ValueError:

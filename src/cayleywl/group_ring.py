@@ -142,21 +142,25 @@ def stabilize_refine_con(partition: OrderedPartition, con: Iterable[int]) -> Ref
     return replace(trace, final=partition_from_coloring(trace.final, spec))
 
 
+def scaled_partition(partition: OrderedPartition, m: int) -> OrderedPartition:
+    """Image of the partition under ``g -> m*g`` for a unit multiplier ``m``."""
+    spec = partition.spec
+    image = [0] * spec.order
+    for ci, cls in enumerate(partition.classes):
+        for g in cls:
+            image[spec.scale(g, m)] = ci
+    return OrderedPartition.from_labels(spec, image)
+
+
 def exponentiation_closure(partition: OrderedPartition) -> OrderedPartition:
     """Meet of all unit-multiplier images of the partition.
 
     The result is exponentiation-stable and refines the input.
     """
-    spec = partition.spec
     result = partition
-    for m in unit_multipliers(spec):
-        if m == 1:
-            continue
-        image = [0] * spec.order
-        for ci, cls in enumerate(partition.classes):
-            for g in cls:
-                image[spec.scale(g, m)] = ci
-        result = result.meet(OrderedPartition.from_labels(spec, image))
+    for m in unit_multipliers(partition.spec):
+        if m != 1:
+            result = result.meet(scaled_partition(partition, m))
     return result
 
 

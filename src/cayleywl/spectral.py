@@ -56,14 +56,12 @@ def eigenvalue_classes(sd: StabilizerData) -> OrderedPartition:
     return multiplier_orbits(sd.spec, sd.h_elements)
 
 
-def numeric_spectrum(sd: StabilizerData, tolerance: float = 1e-9) -> list[complex]:
+def numeric_spectrum(sd: StabilizerData) -> list[complex]:
     """Floating eigenvalues of the adjacency operator, one per character index.
 
     The k-th value is the sum of the primitive p-th roots of unity raised to
     c*k over the connection elements c; index 0 always gives exactly |con|.
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
     p = sd.p
     values = []
     for k in range(p):
@@ -77,6 +75,8 @@ def numeric_spectrum(sd: StabilizerData, tolerance: float = 1e-9) -> list[comple
 def group_spectrum(sd: StabilizerData, values: Sequence[complex], tolerance: float = 1e-9) -> OrderedPartition:
     """Group character indices whose eigenvalues agree within tolerance
     (transitively); at sane tolerances this reproduces eigenvalue_classes."""
+    if tolerance <= 0:
+        raise ValueError("tolerance must be positive")
     p = sd.p
     parent = list(range(p))
 

@@ -11,12 +11,13 @@ distinct masks is collected.
 from __future__ import annotations
 
 import multiprocessing
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
-from .groups import GroupSpec, divisor_count, parse_group_spec
-from .group_ring import stabilize_refine
-from .partition import refine_to_stable
+from .groups import GroupSpec, divisor_count, parse_group_spec, unit_multipliers
+from .group_ring import scaled_partition, stabilize_refine
+from .partition import OrderedPartition, refine_to_stable
 from .tinhofer import TinhoferReport, has_tinhofer_property, individualize
 from .wl import (
     CayleyGraph,
@@ -144,61 +145,144 @@ class EngineMismatch(RuntimeError):
         self.mask = mask
 
 
-def sweep_instance(n: int, mask: int, cross_check: bool = False) -> SweepRecord:
-    """Stabilize one circulant instance on the algebraic path, optionally
-    cross-checking round count and final partition against the pair-coloring
-    engine."""
-    spec = GroupSpec((n,))
-    con = mask_to_con(mask, n)
-    trace = stabilize_refine(initial_cayley_smodule(spec, con))
-    rounds_wl2: Optional[int] = None
-    if cross_check:
-        wl_trace = wl2_stabilize(build_cayley(spec, con))
-        wl_module = induced_smodule(wl_trace.final, spec)
-        if wl_trace.rounds != trace.rounds:
-            raise EngineMismatch(
-                n, mask, f"rounds {wl_trace.rounds} (pair) vs {trace.rounds} (module)"
-            )
-        if wl_module.classes != trace.final.classes:
-            raise EngineMismatch(
-                n, mask, f"final {wl_module.to_text()} (pair) vs {trace.final.to_text()} (module)"
-            )
-        rounds_wl2 = wl_trace.rounds
-    record = SweepRecord(
-        n=n,
-        set_mask=f"0x{mask:x}",
-        rounds=trace.rounds,
-        rounds_wl2=rounds_wl2,
-        bound=round_bound(n),
-        d=divisor_count(n),
-    )
+_Classes = tuple[tuple[int, ...], ...]
+
+# masks per pool task; each task builds its own GroupSpec
+_CHUNK = 64
+
+
+def _stable_modules(spec: GroupSpec, masks: Sequence[int]) -> list[tuple[int, _Classes]]:
+    """Rounds and stable partition of the algebraic path, one per mask."""
+    out = []
+    for mask in masks:
+        trace = stabilize_refine(initial_cayley_smodule(spec, mask_to_con(mask, spec.order)))
+        out.append((trace.rounds, trace.final.classes))
+    return out
+
+
+def _wl2_modules(spec: GroupSpec, masks: Sequence[int]) -> list[tuple[int, _Classes]]:
+    """Rounds of the pair-coloring engine and the partition its stable
+    coloring induces, one per mask."""
+    out = []
+    for mask in masks:
+        trace = wl2_stabilize(build_cayley(spec, mask_to_con(mask, spec.order)))
+        out.append((trace.rounds, induced_smodule(trace.final, spec).classes))
+    return out
+
+
+def _cross_check(
+    n: int, mask: int, rounds: int, final: OrderedPartition, wl2: tuple[int, _Classes]
+) -> int:
+    """The pair engine's round count, after checking it and its induced
+    partition against the algebraic path's."""
+    wl_rounds, wl_classes = wl2
+    if wl_rounds != rounds:
+        raise EngineMismatch(n, mask, f"rounds {wl_rounds} (pair) vs {rounds} (module)")
+    if wl_classes != final.classes:
+        wl_text = OrderedPartition(final.spec, wl_classes).to_text()
+        raise EngineMismatch(n, mask, f"final {wl_text} (pair) vs {final.to_text()} (module)")
+    return wl_rounds
+
+
+def _bounded(record: SweepRecord) -> SweepRecord:
     if record.rounds > record.bound:
         raise BoundViolation(record)
     return record
 
 
-def _worker(args: tuple[int, int, bool]) -> SweepRecord:
-    return sweep_instance(*args)
+def sweep_instance(n: int, mask: int, cross_check: bool = False) -> SweepRecord:
+    """Stabilize one circulant instance on the algebraic path, optionally
+    cross-checking round count and final partition against the pair-coloring
+    engine."""
+    spec = GroupSpec((n,))
+    [(rounds, classes)] = _stable_modules(spec, [mask])
+    rounds_wl2: Optional[int] = None
+    if cross_check:
+        final = OrderedPartition(spec, classes)
+        rounds_wl2 = _cross_check(n, mask, rounds, final, _wl2_modules(spec, [mask])[0])
+    return _bounded(
+        SweepRecord(n, f"0x{mask:x}", rounds, rounds_wl2, round_bound(n), divisor_count(n))
+    )
+
+
+def _orbits(spec: GroupSpec, masks: Sequence[int]) -> tuple[list[int], dict[int, tuple[int, int]]]:
+    """Walk the masks in order; the first mask met of each orbit under unit
+    multipliers and complementation is its representative.
+
+    Returns the representatives and a map from every mask of their orbits to
+    ``(slot, m)``: the mask is ``m`` times representative ``slot``, or that
+    image's complement.  Both give the same round count, and the stable
+    partition is the representative's scaled by ``m``: a unit multiplier is
+    a group automorphism that refinement commutes with, and the complement
+    has the same initial partition (categories 1<->4 and 2<->3 swap).
+    """
+    n = spec.order
+    units = unit_multipliers(spec)
+    full = (1 << n) - 2
+    reps: list[int] = []
+    orbit: dict[int, tuple[int, int]] = {}
+    for mask in masks:
+        if mask in orbit:
+            continue
+        slot = len(reps)
+        reps.append(mask)
+        con = mask_to_con(mask, n)
+        for m in units:
+            image = con_to_mask(tuple(c * m % n for c in con))
+            orbit.setdefault(image, (slot, m))
+            orbit.setdefault(image ^ full, (slot, m))
+    return reps, orbit
+
+
+def _in_worker(work, n: int, masks: Sequence[int]) -> list[tuple[int, _Classes]]:
+    return work(GroupSpec((n,)), masks)
+
+
+def _run(pool, work, spec: GroupSpec, masks: Sequence[int]) -> list[tuple[int, _Classes]]:
+    """``work(spec, masks)`` in this process, or in chunks on the pool."""
+    if pool is None:
+        return work(spec, masks)
+    tasks = [(work, spec.order, masks[i : i + _CHUNK]) for i in range(0, len(masks), _CHUNK)]
+    return [result for part in pool.starmap(_in_worker, tasks) for result in part]
+
+
+def _sweep_order(n: int, masks: Sequence[int], cross_check: bool, pool) -> list[SweepRecord]:
+    """Records of one order: stabilize one mask per orbit and fan its result
+    out; cross-checks still run the pair engine on every mask."""
+    spec = GroupSpec((n,))
+    reps, orbit = _orbits(spec, masks)
+    stable = _run(pool, _stable_modules, spec, reps)
+    checks = _run(pool, _wl2_modules, spec, masks) if cross_check else None
+    bound, d = round_bound(n), divisor_count(n)
+    records = []
+    for i, mask in enumerate(masks):
+        slot, m = orbit[mask]
+        rounds, classes = stable[slot]
+        rounds_wl2: Optional[int] = None
+        if checks is not None:
+            final = scaled_partition(OrderedPartition(spec, classes), m)
+            rounds_wl2 = _cross_check(n, mask, rounds, final, checks[i])
+        records.append(_bounded(SweepRecord(n, f"0x{mask:x}", rounds, rounds_wl2, bound, d)))
+    return records
 
 
 def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     """All instance records, ordered by (n, connection-set bitmask).
 
-    Raises BoundViolation on the first bound breach and EngineMismatch when a
-    cross-check disagrees; output is identical regardless of parallelism.
+    Each order stabilizes one connection set per multiplier/complement orbit
+    and fans the result out to the orbit.  Raises BoundViolation on the
+    first bound breach and EngineMismatch when a cross-check disagrees, both
+    for the first offending record; output is identical regardless of
+    parallelism.
     """
-    instances: list[tuple[int, int, bool]] = []
-    for n in sorted(cfg.n_values):
-        if cfg.mode == "exhaustive":
-            masks = [m << 1 for m in range(1 << (n - 1))]
-        else:
-            masks = sorted(sample_connection_masks(n, cfg.sample_count, cfg.seed or 0))
-        instances.extend((n, mask, cfg.cross_check) for mask in masks)
-    if cfg.jobs > 1:
-        with multiprocessing.Pool(cfg.jobs) as pool:
-            records = pool.map(_worker, instances, chunksize=256)
-    else:
-        records = [_worker(args) for args in instances]
+    records: list[SweepRecord] = []
+    with multiprocessing.Pool(cfg.jobs) if cfg.jobs > 1 else nullcontext() as pool:
+        for n in sorted(cfg.n_values):
+            if cfg.mode == "exhaustive":
+                masks = range(0, 1 << n, 2)
+            else:
+                masks = sorted(sample_connection_masks(n, cfg.sample_count, cfg.seed or 0))
+            records.extend(_sweep_order(n, masks, cfg.cross_check, pool))
     return records
 
 

@@ -587,7 +587,7 @@ def check_spectrum_grouping(primes: tuple[int, ...], tolerance: float = 1e-9) ->
             if not con:
                 continue
             sd = stabilizer_subgroup(p, con)
-            values = numeric_spectrum(sd, tolerance)
+            values = numeric_spectrum(sd)
             assert values[0] == complex(len(con))
             grouped = group_spectrum(sd, values, tolerance)
             assert grouped.classes == eigenvalue_classes(sd).classes, (p, con)

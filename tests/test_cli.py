@@ -108,6 +108,19 @@ def test_individualize_residue_tuple_checked(capsys, token):
     assert len(err.splitlines()) == 1 and "at position" in err
 
 
+@pytest.mark.parametrize(
+    "token, message",
+    [
+        ("(0,1),(1,0)", "expected one residue tuple at position 6"),
+        ("(0,1", "unclosed residue tuple at position 0"),
+    ],
+)
+def test_individualize_takes_one_residue_tuple(capsys, token, message):
+    code, out, err = run(capsys, "cr", "Z4xZ4:(1,0)", "--individualize", token)
+    assert code == 1 and out == ""
+    assert err == f"cayleywl: {message}\n"
+
+
 @pytest.mark.parametrize("command", [["tinhofer-check", "Z7:1,6"], ["counterexample"]])
 def test_max_nodes_below_one(capsys, command):
     code, out, err = run(capsys, *command, "--max-nodes", "0")

@@ -65,7 +65,7 @@ def test_numeric_spectrum_values():
     v7 = numeric_spectrum(sd7)
     assert abs(v7[1] - v7[6]) < 1e-9
     with pytest.raises(ValueError):
-        numeric_spectrum(sd, tolerance=0.0)
+        group_spectrum(sd, values, tolerance=0.0)
 
 
 def test_spectrum_grouping_matches_exact_classes():

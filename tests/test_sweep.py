@@ -1,9 +1,14 @@
+import math
+from dataclasses import replace
+
 import pytest
 
+import cayleywl.sweep
 from cayleywl import tinhofer_iso_test
 from cayleywl.sweep import (
     BoundViolation,
     CounterexampleMismatch,
+    EngineMismatch,
     EXPECTED_COUNTEREXAMPLE_ROUNDS,
     SweepConfig,
     SweepRecord,
@@ -82,6 +87,109 @@ def test_run_sweep_parallel_matches_serial():
     serial = run_sweep(SweepConfig(n_values=(7, 8)))
     parallel = run_sweep(SweepConfig(n_values=(7, 8), jobs=2))
     assert serial == parallel
+
+
+def orbit_count_oracle(n: int) -> int:
+    """Connection sets of Z_n up to unit multipliers and complementation,
+    counted by the least mask of each orbit."""
+    full = (1 << n) - 2
+    units = [m for m in range(1, n) if math.gcd(m, n) == 1]
+    least = set()
+    for mask in range(0, 1 << n, 2):
+        con = mask_to_con(mask, n)
+        images = [con_to_mask(tuple(c * m % n for c in con)) for m in units]
+        least.add(min(images + [image ^ full for image in images]))
+    return len(least)
+
+
+@pytest.fixture
+def engine_calls(monkeypatch):
+    """Per-order call counts of the two engines as the sweep module calls them."""
+    calls = {"module": {}, "pair": {}}
+
+    def counted(kind, fn, order):
+        def wrapper(arg):
+            calls[kind][order(arg)] = calls[kind].get(order(arg), 0) + 1
+            return fn(arg)
+
+        return wrapper
+
+    sweep_mod = cayleywl.sweep
+    monkeypatch.setattr(
+        sweep_mod, "stabilize_refine",
+        counted("module", sweep_mod.stabilize_refine, lambda p: p.spec.order),
+    )
+    monkeypatch.setattr(
+        sweep_mod, "wl2_stabilize", counted("pair", sweep_mod.wl2_stabilize, lambda g: g.n)
+    )
+    return calls
+
+
+@pytest.mark.parametrize("cross_check", [False, True])
+def test_run_sweep_matches_scalar_exhaustive(engine_calls, cross_check):
+    """The orbit-reduced sweep equals one sweep_instance per record, runs the
+    algebraic engine once per orbit and the pair engine once per record."""
+    orders = tuple(range(2, 13))
+    records = run_sweep(SweepConfig(n_values=orders, cross_check=cross_check))
+    assert engine_calls["module"] == {n: orbit_count_oracle(n) for n in orders}
+    assert engine_calls["module"][12] == 312
+    assert engine_calls["pair"] == ({n: 1 << (n - 1) for n in orders} if cross_check else {})
+    scalar = [
+        sweep_instance(n, mask, cross_check) for n in orders for mask in range(0, 1 << n, 2)
+    ]
+    assert records == scalar
+
+
+@pytest.mark.parametrize("cross_check", [False, True])
+def test_run_sweep_matches_scalar_sampled(cross_check):
+    cfg = SweepConfig(
+        n_values=(17, 18, 19, 20), mode="sampled", sample_count=40, seed=11,
+        cross_check=cross_check,
+    )
+    scalar = [
+        sweep_instance(n, mask, cross_check)
+        for n in cfg.n_values
+        for mask in sorted(sample_connection_masks(n, cfg.sample_count, cfg.seed))
+    ]
+    assert run_sweep(cfg) == scalar
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SweepConfig(n_values=tuple(range(2, 13))),
+        SweepConfig(n_values=(15, 18), mode="sampled", sample_count=200, seed=3),
+        SweepConfig(n_values=(9, 10, 13), mode="sampled", sample_count=60, seed=5, cross_check=True),
+    ],
+    ids=["exhaustive", "sampled", "cross-check"],
+)
+def test_run_sweep_jobs_do_not_change_records(cfg):
+    assert run_sweep(replace(cfg, jobs=2)) == run_sweep(cfg)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_bound_violation_names_first_offending_record(monkeypatch, jobs):
+    monkeypatch.setattr(cayleywl.sweep, "round_bound", lambda n: 1 if n >= 8 else round_bound(n))
+    with pytest.raises(BoundViolation) as err:
+        run_sweep(SweepConfig(n_values=tuple(range(2, 11)), jobs=jobs))
+    assert str(err.value) == "round bound violated: n=8 set=0x2 rounds=2 > bound=1"
+
+
+def test_engine_mismatch_names_first_offending_record(monkeypatch):
+    """0x102 = {1, 8} is 4 * {2, 7} (0x84), so its module result is fanned
+    out from 0x84; the pair engine is made to disagree on it alone."""
+    pair_engine = cayleywl.sweep.wl2_stabilize
+
+    def skewed(g):
+        trace = pair_engine(g)
+        if g.n == 9 and g.out_neighbors[0] == (1, 8):
+            return replace(trace, rounds=trace.rounds + 1)
+        return trace
+
+    monkeypatch.setattr(cayleywl.sweep, "wl2_stabilize", skewed)
+    with pytest.raises(EngineMismatch) as err:
+        run_sweep(SweepConfig(n_values=tuple(range(2, 11)), cross_check=True))
+    assert str(err.value) == "engine disagreement at n=9 set=0x102: rounds 3 (pair) vs 2 (module)"
 
 
 def test_bound_violation_message():
