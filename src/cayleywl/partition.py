@@ -154,13 +154,15 @@ def rank_signatures(old: Sequence[int], gathered: Iterable[Iterable[int]]) -> tu
 def refine_to_stable(start: Any, step: Callable[[Any], Any]) -> RefinementTrace:
     """Apply a refining operator until a step no longer raises ``class_count``.
 
-    Works for anything with a ``class_count``: partitions, vertex colorings,
-    pair colorings.  Every step refines its input, so a step that keeps the
-    class count keeps the classes, and its input is the fixed point.
+    Works for anything with a ``class_count`` and ``is_discrete()``:
+    partitions, vertex colorings, pair colorings.  Every step refines its
+    input, so a step that keeps the class count keeps the classes, and its
+    input is the fixed point.  A discrete input cannot refine, so it is the
+    fixed point without a confirming step.
     """
     current = start
     counts = [current.class_count]
-    while True:
+    while not current.is_discrete():
         refined = step(current)
         count = refined.class_count
         if count == counts[-1]:

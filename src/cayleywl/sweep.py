@@ -345,6 +345,7 @@ def compute_counterexample_rounds() -> tuple[str, ...]:
 
     def step(coloring: VertexColoring) -> VertexColoring:
         # called on the start, on every refined round, and on the fixed point
+        # (which is not discrete: automorphisms fixing 0 keep classes whole)
         rounds.append(partition_from_coloring(coloring, spec).to_text())
         return cr_step(dg, coloring)
 

@@ -12,7 +12,7 @@ complete graphs of modest size.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
@@ -23,6 +23,7 @@ from .wl import (
     Graph,
     VertexColoring,
     as_digraph,
+    build_cayley,
     cr_stabilize,
     uniform_coloring,
 )
@@ -66,52 +67,86 @@ def color_bijections(
     forced: Sequence[tuple[int, int]] = (),
 ) -> Iterator[tuple[int, ...]]:
     """Yield all bijections a -> b preserving colors and adjacency, with the
-    forced vertex pairs pre-assigned.  Backtracking with exact-consistency
-    checks against every previously mapped vertex."""
+    forced vertex pairs pre-assigned.
+
+    Vertices are placed in breadth-first order from the forced ones over the
+    underlying undirected graph of a.  A vertex reached from a placed
+    neighbor u draws its candidates from the out- or in-neighbors of u's
+    image, matching the direction of the edge; only the first vertex of a
+    component without placed vertices scans its color class, taken least
+    (class size, color, vertex) first.  A candidate w for v is consistent
+    when the placed out- and in-neighbors of w are exactly the images of the
+    placed out- and in-neighbors of v: set intersections in O(degree)
+    instead of an edge test against every placed vertex."""
     n = a.n
     if b.n != n or Counter(colors_a) != Counter(colors_b):
         return
     pool: dict[int, list[int]] = {}
     for w, c in enumerate(colors_b):
         pool.setdefault(c, []).append(w)
+    out_a, in_a = a._out_sets, a._in_sets
+    out_b, in_b = b._out_sets, b._in_sets
     mapping = [-1] * n
-    used = [False] * n
+    placed: set[int] = set()
+    image: set[int] = set()
+    mapped = mapping.__getitem__
 
     def consistent(v: int, w: int) -> bool:
-        if colors_a[v] != colors_b[w]:
-            return False
-        for u in range(n):
-            mu = mapping[u]
-            if mu < 0:
-                continue
-            if a.has_edge(v, u) != b.has_edge(w, mu):
-                return False
-            if a.has_edge(u, v) != b.has_edge(mu, w):
-                return False
-        return True
+        return (
+            colors_a[v] == colors_b[w]
+            and set(map(mapped, out_a[v] & placed)) == out_b[w] & image
+            and set(map(mapped, in_a[v] & placed)) == in_b[w] & image
+        )
 
     for v, w in forced:
-        if used[w] or mapping[v] >= 0 or not consistent(v, w):
+        if w in image or v in placed or not consistent(v, w):
             return
         mapping[v] = w
-        used[w] = True
+        placed.add(v)
+        image.add(w)
 
-    free = [v for v in range(n) if mapping[v] < 0]
-    free.sort(key=lambda v: (len(pool.get(colors_a[v], ())), colors_a[v], v))
+    # placement order: (v, u, forward) draws v's candidates from the out-
+    # (forward) or in-neighbors of u's image, or from v's color pool if u < 0
+    steps: list[tuple[int, int, bool]] = []
+    seen = [v in placed for v in range(n)]
+    neighbors = a._neighbors
+
+    def spread(queue: deque[int]) -> None:
+        while queue:
+            u = queue.popleft()
+            for v in neighbors[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    steps.append((v, u, v in out_a[u]))
+                    queue.append(v)
+
+    spread(deque(v for v, _ in forced))
+    unseen = [v for v in range(n) if not seen[v]]
+    unseen.sort(key=lambda v: (len(pool[colors_a[v]]), colors_a[v], v))
+    for root in unseen:
+        if not seen[root]:
+            seen[root] = True
+            steps.append((root, -1, True))
+            spread(deque((root,)))
 
     def dfs(k: int) -> Iterator[tuple[int, ...]]:
-        if k == len(free):
+        if k == len(steps):
             yield tuple(mapping)
             return
-        v = free[k]
-        for w in pool.get(colors_a[v], ()):
-            if used[w] or not consistent(v, w):
+        v, u, forward = steps[k]
+        if u < 0:
+            candidates = pool[colors_a[v]]
+        else:
+            candidates = (b.out_neighbors if forward else b.in_neighbors)[mapping[u]]
+        for w in candidates:
+            if w in image or not consistent(v, w):
                 continue
             mapping[v] = w
-            used[w] = True
+            placed.add(v)
+            image.add(w)
             yield from dfs(k + 1)
-            mapping[v] = -1
-            used[w] = False
+            placed.discard(v)
+            image.discard(w)
 
     yield from dfs(0)
 
@@ -367,10 +402,10 @@ def canonical_form_prime_circulant(
     if not con_set or len(con_set) == p - 1:
         order = tuple(range(p))
         return CanonicalForm(order, _circulant_code(p, con_set, order))
-    cg = CayleyGraph(spec, tuple(sorted(con_set)))
+    dg = build_cayley(spec, con_set)
 
     def finish(coloring: VertexColoring, depth: int) -> CanonicalForm:
-        stable = cr_stabilize(cg, coloring).final
+        stable = cr_stabilize(dg, coloring).final
         if stable.is_discrete():
             order = tuple(sorted(range(p), key=lambda v: stable.colors[v]))
             return CanonicalForm(order, _circulant_code(p, con_set, order))

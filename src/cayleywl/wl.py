@@ -53,6 +53,18 @@ class DiGraph:
     def _out_sets(self) -> tuple[frozenset[int], ...]:
         return tuple(frozenset(s) for s in self.out_neighbors)
 
+    @cached_property
+    def _in_sets(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(s) for s in self.in_neighbors)
+
+    @cached_property
+    def _neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Neighbors in the underlying undirected graph, ascending."""
+        return tuple(
+            tuple(sorted(set(outs).union(ins)))
+            for outs, ins in zip(self.out_neighbors, self.in_neighbors)
+        )
+
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._out_sets[u]
 
@@ -135,6 +147,9 @@ class PairColoring:
     @property
     def class_count(self) -> int:
         return max(self.colors, default=-1) + 1
+
+    def is_discrete(self) -> bool:
+        return self.class_count == self.n * self.n
 
 
 def _pair_category(fwd: bool, bwd: bool) -> int:

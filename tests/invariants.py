@@ -13,7 +13,7 @@ import itertools
 import math
 import random
 from collections import Counter
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 from cayleywl import (
     CayleyGraph,
@@ -42,6 +42,7 @@ from cayleywl.spectral import group_spectrum
 from cayleywl.tinhofer import graph_automorphisms
 from cayleywl.partition import RefinementTrace
 from cayleywl.wl import (
+    DiGraph,
     PairColoring,
     coloring_from_partition,
     initial_cayley_smodule,
@@ -310,9 +311,117 @@ def exponentiation_closure_oracle(partition: OrderedPartition) -> set[frozenset[
     return {frozenset(s) for s in groups.values()}
 
 
+def color_bijections_oracle(
+    a: DiGraph,
+    b: DiGraph,
+    colors_a: Sequence[int],
+    colors_b: Sequence[int],
+    forced: Sequence[tuple[int, int]] = (),
+) -> Iterator[tuple[int, ...]]:
+    """Yield all bijections a -> b preserving colors and adjacency, with the
+    forced vertex pairs pre-assigned.  Backtracking with exact-consistency
+    checks against every previously mapped vertex.
+
+    Every candidate comes from the color class, so this is the oracle for
+    the neighborhood-driven :func:`cayleywl.tinhofer.color_bijections`."""
+    n = a.n
+    if b.n != n or Counter(colors_a) != Counter(colors_b):
+        return
+    pool: dict[int, list[int]] = {}
+    for w, c in enumerate(colors_b):
+        pool.setdefault(c, []).append(w)
+    mapping = [-1] * n
+    used = [False] * n
+
+    def consistent(v: int, w: int) -> bool:
+        if colors_a[v] != colors_b[w]:
+            return False
+        for u in range(n):
+            mu = mapping[u]
+            if mu < 0:
+                continue
+            if a.has_edge(v, u) != b.has_edge(w, mu):
+                return False
+            if a.has_edge(u, v) != b.has_edge(mu, w):
+                return False
+        return True
+
+    for v, w in forced:
+        if used[w] or mapping[v] >= 0 or not consistent(v, w):
+            return
+        mapping[v] = w
+        used[w] = True
+
+    free = [v for v in range(n) if mapping[v] < 0]
+    free.sort(key=lambda v: (len(pool.get(colors_a[v], ())), colors_a[v], v))
+
+    def dfs(k: int) -> Iterator[tuple[int, ...]]:
+        if k == len(free):
+            yield tuple(mapping)
+            return
+        v = free[k]
+        for w in pool.get(colors_a[v], ()):
+            if used[w] or not consistent(v, w):
+                continue
+            mapping[v] = w
+            used[w] = True
+            yield from dfs(k + 1)
+            mapping[v] = -1
+            used[w] = False
+
+    yield from dfs(0)
+
+
+def coloring_orbits_oracle(dg: DiGraph, colors: Sequence[int]) -> tuple[int, ...]:
+    """Orbit label per vertex under the color-preserving automorphism group.
+
+    Orbits are discovered by pairwise automorphism searches inside each color
+    class; every found automorphism merges all its vertex orbits at once.
+    Runs on :func:`color_bijections_oracle`.
+    """
+    n = dg.n
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x: int, y: int) -> None:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+
+    classes: dict[int, list[int]] = {}
+    for v, c in enumerate(colors):
+        classes.setdefault(c, []).append(v)
+    for members in classes.values():
+        for i, v0 in enumerate(members):
+            for v in members[i + 1 :]:
+                if find(v0) == find(v):
+                    continue
+                perm = next(
+                    color_bijections_oracle(dg, dg, colors, colors, forced=[(v0, v)]), None
+                )
+                if perm is not None:
+                    for u in range(n):
+                        union(u, perm[u])
+    return tuple(find(v) for v in range(n))
+
+
 # ---------------------------------------------------------------------------
 # deterministic partition generators
 # ---------------------------------------------------------------------------
+
+def relabeled(g: DiGraph, colors: Sequence[int], pi: Sequence[int]) -> tuple[DiGraph, tuple[int, ...]]:
+    """The copy of (g, colors) in which vertex v is called pi[v]."""
+    moved = [0] * g.n
+    for v, c in enumerate(colors):
+        moved[pi[v]] = c
+    edges = [(pi[u], pi[v]) for u in range(g.n) for v in g.out_neighbors[u]]
+    return DiGraph.from_edges(g.n, edges), tuple(moved)
+
 
 def random_partition(spec: GroupSpec, rng: random.Random, max_classes: int = 0) -> OrderedPartition:
     k = rng.randint(1, max_classes or spec.order)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cayleywl import (
     CayleyGraph,
@@ -16,7 +17,8 @@ from cayleywl.tinhofer import (
     disjoint_union,
     graph_automorphisms,
 )
-from cayleywl.wl import DiGraph, build_cayley
+from cayleywl.wl import DiGraph, build_cayley, cr_stabilize
+from invariants import color_bijections_oracle, coloring_orbits_oracle, relabeled
 
 Z7 = GroupSpec((7,))
 
@@ -206,3 +208,153 @@ def test_color_bijections_respect_forced_pairs():
     g = build_cayley(Z7, (1, 6))
     perms = list(color_bijections(g, g, (0,) * 7, (0,) * 7, forced=[(0, 3)]))
     assert perms and all(p[0] == 3 for p in perms)
+
+
+# ---------------------------------------------------------------------------
+# the neighborhood-driven search against the class-scanning oracle
+# ---------------------------------------------------------------------------
+
+def _draw_digraph(draw, n: int) -> DiGraph:
+    """A sparse digraph on n vertices or, half the time, its complement."""
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    edges = set(draw(st.lists(st.sampled_from(pairs), max_size=2 * n))) if pairs else set()
+    if draw(st.booleans()):
+        edges = set(pairs) - edges
+    return DiGraph.from_edges(n, sorted(edges))
+
+
+@st.composite
+def random_digraphs(draw, max_n=8):
+    n = draw(st.integers(1, max_n))
+    colors = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    return _draw_digraph(draw, n), colors
+
+
+@st.composite
+def bijection_cases(draw):
+    """(a, b, colors_a, colors_b, forced): b is a relabeled copy of a or,
+    half the time, an unrelated digraph with the same color multiset."""
+    a, colors_a = draw(random_digraphs())
+    n = a.n
+    pi = draw(st.permutations(range(n)))
+    if draw(st.booleans()):
+        b, colors_b = relabeled(a, colors_a, pi)
+    else:
+        b, colors_b = _draw_digraph(draw, n), tuple(colors_a[pi[v]] for v in range(n))
+    vertex = st.integers(0, n - 1)
+    forced = draw(st.lists(st.tuples(vertex, vertex), max_size=2))
+    return a, b, colors_a, colors_b, forced
+
+
+_PATH = DiGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+_TWO_CYCLES = DiGraph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+_EDGELESS = DiGraph.from_edges(6, [])
+# rigid; the out-neighbor half of the consistency check alone lets 0 -> 1 -> 2 -> 0 through
+_RIGID = DiGraph.from_edges(3, [(0, 2), (1, 0), (1, 2), (2, 1)])
+
+
+@given(bijection_cases())
+@example((_PATH, _PATH, (0,) * 4, (0,) * 4, []))
+@example((_RIGID, _RIGID, (0,) * 3, (0,) * 3, []))
+@example((_TWO_CYCLES, _TWO_CYCLES, (0,) * 6, (0,) * 6, [(0, 4)]))
+@example((_TWO_CYCLES, _TWO_CYCLES, (0,) * 6, (0,) * 6, [(0, 4), (1, 3)]))
+@example((_EDGELESS, _EDGELESS, (0, 0, 1, 1, 1, 2), (1, 0, 1, 2, 0, 1), [(5, 3)]))
+def test_color_bijections_match_oracle(case):
+    a, b, colors_a, colors_b, forced = case
+    got = list(color_bijections(a, b, colors_a, colors_b, forced))
+    assert len(got) == len(set(got))
+    assert set(got) == set(color_bijections_oracle(a, b, colors_a, colors_b, forced))
+
+
+@given(random_digraphs())
+@example((_PATH, (0,) * 4))
+@example((_RIGID, (0,) * 3))
+@example((_TWO_CYCLES, (0,) * 6))
+@example((_TWO_CYCLES, (0, 1, 0, 0, 0, 0)))
+def test_coloring_orbits_match_oracle_on_digraphs(case):
+    dg, colors = case
+    assert coloring_orbits(dg, colors) == coloring_orbits_oracle(dg, colors)
+
+
+def _is_automorphism(g: DiGraph, colors, perm) -> bool:
+    return all(colors[perm[v]] == colors[v] for v in range(g.n)) and all(
+        g.has_edge(perm[u], perm[v]) == g.has_edge(u, v) for u in range(g.n) for v in range(g.n)
+    )
+
+
+def _connected(g: DiGraph) -> bool:
+    seen, stack = {0}, [0]
+    while stack:
+        u = stack.pop()
+        for v in g.out_neighbors[u] + g.in_neighbors[u]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return len(seen) == g.n
+
+
+@st.composite
+def individualized_cayley_graphs(draw):
+    """(moduli, con, marks) for a connected Cayley graph over Z2xZ8,
+    Z2xZ2xZ4 or Z3^3, directed or undirected, sparse or dense, with one or
+    two vertices to individualize."""
+    moduli = draw(st.sampled_from([(2, 8), (2, 2, 4), (3, 3, 3)]))
+    spec = GroupSpec(moduli)
+    elements = range(1, spec.order)
+    con = draw(st.sets(st.sampled_from(elements), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        con |= {spec.neg(s) for s in con}
+    if draw(st.booleans()):
+        con = set(elements) - con
+    marks = draw(st.lists(st.integers(0, spec.order - 1), min_size=1, max_size=2))
+    return moduli, con, marks
+
+
+@given(individualized_cayley_graphs())
+# dense or directed cases where a check without its in-neighbor half finds a non-automorphism
+@example(((2, 8), {1, 3, 5, 7, 8, 10, 11, 12, 13, 14, 15}, [6]))
+@example(((2, 2, 4), set(range(1, 15)), [5]))
+@example(((3, 3, 3), {3, 4, 26}, [23]))
+def test_coloring_orbits_match_oracle_on_cayley_graphs(case):
+    """Orbits of stable node colorings reached by individualization, and
+    the automorphism each orbit query looks for.  (The oracle places
+    vertices in index order, so on disconnected or uniformly colored graphs
+    it can backtrack for minutes.)"""
+    moduli, con, marks = case
+    dg = build_cayley(GroupSpec(moduli), con)
+    assume(_connected(dg))
+    coloring = uniform_coloring(dg.n)
+    for v in marks:
+        coloring = individualize(cr_stabilize(dg, coloring).final, v)
+    stable = cr_stabilize(dg, coloring).final.colors
+    assert coloring_orbits(dg, stable) == coloring_orbits_oracle(dg, stable)
+    classes: dict[int, list[int]] = {}
+    for v, c in enumerate(stable):
+        classes.setdefault(c, []).append(v)
+    for first, *rest in classes.values():
+        for v in rest:
+            forced = [(first, v)]
+            found = next(color_bijections(dg, dg, stable, stable, forced), None)
+            want = next(color_bijections_oracle(dg, dg, stable, stable, forced), None)
+            assert (found is None) == (want is None)
+            assert found is None or _is_automorphism(dg, stable, found)
+
+
+# ---------------------------------------------------------------------------
+# search tree shape: status, nodes and certificate are part of the output
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "moduli, con, status, nodes, certificate",
+    [
+        ((4, 4), (4, 12, 1, 3, 5, 15), "false", 11, ((0, 0), (2, 2), (8, 9))),
+        ((2, 2, 2, 2), (8, 4, 2, 1), "true", 66, None),
+        ((3, 3, 3), (9, 18, 3, 6, 1, 2), "true", 189, None),
+        ((15,), (5, 10), "true", 2744, None),
+        ((2, 8), (8, 10, 14), "true", 283, None),
+    ],
+    ids=["counterexample", "hypercube-Z2^4", "Z3^3", "Z15:5,10", "Z2xZ8:8,10,14"],
+)
+def test_tinhofer_search_tree_is_pinned(moduli, con, status, nodes, certificate):
+    report = has_tinhofer_property(CayleyGraph(GroupSpec(moduli), con))
+    assert (report.status, report.nodes, report.certificate) == (status, nodes, certificate)

@@ -18,6 +18,7 @@ from cayleywl import (
     parse_adjacency,
     parse_cayley_graph,
     refine,
+    refine_to_stable,
     uniform_coloring,
     wl2_stabilize,
     wl2_step,
@@ -36,6 +37,7 @@ from invariants import (
     cr_stabilize_oracle,
     first_occurrence,
     is_cayley_partition_oracle,
+    relabeled,
     wl2_step_oracle,
 )
 
@@ -325,6 +327,61 @@ def test_wl2_matches_oracle_on_digraphs(case):
     assert got.rounds == len(counts) - 1
     assert got.class_counts == tuple(counts)
     assert first_occurrence(got.final.colors) == first_occurrence(c.colors)
+
+
+@given(colored_digraphs(max_n=7), st.data())
+def test_refinement_ids_commute_with_relabeling(case, data):
+    """CR and 2-WL on a copy relabeled by pi give vertex pi(v) the color of
+    v and the pair (pi(i), pi(j)) the color of (i, j)."""
+    dg, c = case
+    n = dg.n
+    pi = data.draw(st.permutations(range(n)))
+    moved, moved_colors = relabeled(dg, c.colors, pi)
+    cr, moved_cr = cr_stabilize(dg, c), cr_stabilize(moved, VertexColoring(n, moved_colors))
+    assert moved_cr.class_counts == cr.class_counts
+    assert all(moved_cr.final.colors[pi[v]] == cr.final.colors[v] for v in range(n))
+    wl, moved_wl = wl2_stabilize(dg), wl2_stabilize(moved)
+    assert moved_wl.class_counts == wl.class_counts
+    assert all(
+        moved_wl.final.color(pi[i], pi[j]) == wl.final.color(i, j)
+        for i in range(n)
+        for j in range(n)
+    )
+
+
+def test_refine_to_stable_skips_confirming_step_once_discrete():
+    """The c05 shape: two individualizations make a Z13 circulant discrete,
+    and the discrete coloring is returned without one more step."""
+    dg = build_cayley(GroupSpec((13,)), (1, 12))
+    calls = []
+
+    def step(c):
+        calls.append(c)
+        return cr_step(dg, c)
+
+    start = individualize(individualize(uniform_coloring(13), 0), 1)
+    trace = refine_to_stable(start, step)
+    assert trace.final.is_discrete() and len(calls) == trace.rounds
+    want = cr_stabilize_oracle(dg.in_neighbors, start.colors)
+    assert (trace.rounds, trace.class_counts, trace.final.colors) == (
+        want.rounds,
+        want.class_counts,
+        want.final,
+    )
+    calls.clear()
+    coarse = refine_to_stable(individualize(uniform_coloring(13), 0), step)
+    assert not coarse.final.is_discrete() and len(calls) == coarse.rounds + 1
+
+    path = DiGraph.from_edges(3, [(0, 1), (1, 2)])
+    pair_calls = []
+
+    def pair_step(c):
+        pair_calls.append(c)
+        return wl2_step(c)
+
+    pairs = refine_to_stable(initial_pair_coloring(path), pair_step)
+    assert pairs.final.is_discrete() and len(pair_calls) == pairs.rounds
+    assert pairs == wl2_stabilize(path)
 
 
 def test_cr_class_counts_never_decrease():
