@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 from .groups import is_prime
 from .group_ring import stabilize_refine
-from .partition import OrderedPartition
+from .partition import classes_text
 from .spectral import eigenvalue_classes, numeric_spectrum, stabilizer_subgroup
 from .sweep import (
     BoundViolation,
@@ -81,8 +81,8 @@ def _parse_vertex(token: str, g: Graph) -> int:
     return v
 
 
-def _classes_json(p: OrderedPartition) -> list[list[int]]:
-    return [list(c) for c in p.classes]
+def _classes_json(classes: tuple[tuple[int, ...], ...]) -> list[list[int]]:
+    return [list(c) for c in classes]
 
 
 def _rounds_text(fmt: str, rounds: int, key: str, value: object, shown: object) -> str:
@@ -101,7 +101,7 @@ def _cmd_wl2(args: argparse.Namespace) -> int:
     if isinstance(g, CayleyGraph):
         module = induced_smodule(trace.final, g.spec)
         text = _rounds_text(
-            args.format, trace.rounds, "classes", _classes_json(module), module.to_text()
+            args.format, trace.rounds, "classes", _classes_json(module.classes), module.to_text()
         )
     else:
         count = trace.final.class_count
@@ -118,8 +118,9 @@ def _cmd_cr(args: argparse.Namespace) -> int:
         coloring = individualize(coloring, _parse_vertex(token, g))
     trace = cr_stabilize(g, coloring)
     classes = trace.final.classes()
-    shown = "|".join(",".join(str(v) for v in c) for c in classes)
-    text = _rounds_text(args.format, trace.rounds, "classes", [list(c) for c in classes], shown)
+    text = _rounds_text(
+        args.format, trace.rounds, "classes", _classes_json(classes), classes_text(classes)
+    )
     _emit(text, args.out)
     return 0
 
@@ -133,9 +134,9 @@ def _cmd_smodule(args: argparse.Namespace) -> int:
     if args.format == "json":
         text = json.dumps(
             {
-                "initial": _classes_json(initial),
+                "initial": _classes_json(initial.classes),
                 "rounds": trace.rounds,
-                "stable": _classes_json(trace.final),
+                "stable": _classes_json(trace.final.classes),
             },
             sort_keys=True,
         ) + "\n"
@@ -214,8 +215,7 @@ def _cmd_canon(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = SweepConfig(
         n_values=tuple(range(args.n_min, args.n_max + 1)),
-        mode="sampled" if args.sample is not None else "exhaustive",
-        sample_count=args.sample or 0,
+        sample_count=args.sample,
         seed=args.seed,
         cross_check=args.cross_check,
         jobs=args.jobs,

@@ -31,16 +31,6 @@ class GroupRingElement:
     def __mul__(self, other: GroupRingElement) -> GroupRingElement:
         return multiply(self, other)
 
-    def __add__(self, other: GroupRingElement) -> GroupRingElement:
-        if self.spec != other.spec:
-            raise ValueError("group ring elements over different groups")
-        return GroupRingElement(
-            self.spec, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(g for g, c in enumerate(self.coeffs) if c != 0)
-
 
 def simple_quantity(spec: GroupSpec, elements: Iterable[int]) -> GroupRingElement:
     """Indicator vector of an element-index set (the empty set gives zero)."""
@@ -90,9 +80,7 @@ def power_map(v: GroupRingElement, m: int) -> GroupRingElement:
 
 def induced_partition(v: GroupRingElement) -> OrderedPartition:
     """Group elements by equal coefficient."""
-    keys: dict[int, int] = {}
-    labels = [keys.setdefault(c, len(keys)) for c in v.coeffs]
-    return OrderedPartition.from_labels(v.spec, labels)
+    return OrderedPartition.from_labels(v.spec, v.coeffs)
 
 
 def extract_by_coefficient(v: GroupRingElement, value: int) -> frozenset[int]:
@@ -143,13 +131,9 @@ def stabilize_refine_con(partition: OrderedPartition, con: Iterable[int]) -> Ref
 
 
 def scaled_partition(partition: OrderedPartition, m: int) -> OrderedPartition:
-    """Image of the partition under ``g -> m*g`` for a unit multiplier ``m``."""
-    spec = partition.spec
-    image = [0] * spec.order
-    for ci, cls in enumerate(partition.classes):
-        for g in cls:
-            image[spec.scale(g, m)] = ci
-    return OrderedPartition.from_labels(spec, image)
+    """Image of the partition under ``g -> m*g`` for a unit multiplier ``m``:
+    the class indices pushed forward along the map."""
+    return induced_partition(power_map(GroupRingElement(partition.spec, partition.membership), m))
 
 
 def exponentiation_closure(partition: OrderedPartition) -> OrderedPartition:
@@ -165,12 +149,8 @@ def exponentiation_closure(partition: OrderedPartition) -> OrderedPartition:
 
 
 def is_exponentiation_stable(partition: OrderedPartition) -> bool:
-    """True when every unit-multiplier image of every class is a union of classes."""
-    spec = partition.spec
-    for m in unit_multipliers(spec):
-        if m == 1:
-            continue
-        for cls in partition.classes:
-            if not partition.spans(spec.scale(g, m) for g in cls):
-                return False
-    return True
+    """True when every unit-multiplier image of every class is a union of
+    classes.  Each image has the partition's class count, so the partition
+    refines an image exactly when they are equal, and it is stable exactly
+    when it is its own closure."""
+    return exponentiation_closure(partition) == partition

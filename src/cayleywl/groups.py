@@ -11,7 +11,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 GroupElement = tuple[int, ...]
 """Residue tuple, component ``i`` in ``[0, moduli[i])``."""
@@ -78,9 +78,7 @@ class GroupSpec:
 
     def neg(self, i: int) -> int:
         """Index of the inverse of element ``i``."""
-        if len(self.moduli) == 1:
-            return (-i) % self.moduli[0]
-        return self.index(tuple(-r for r in self.element(i)))
+        return self.scale(i, -1)
 
     def scale(self, i: int, m: int) -> int:
         """Index of the ``m``-fold multiple of element ``i``."""
@@ -112,6 +110,18 @@ def parse_group_spec(text: str) -> GroupSpec:
         raise ValueError(f"malformed group spec {text!r}; expected e.g. 'Z9' or 'Z4xZ4'")
     moduli = tuple(int(part) for part in re.findall(r"\d+", text))
     return GroupSpec(moduli)
+
+
+def connection_set(spec: GroupSpec, con: Iterable[int]) -> tuple[int, ...]:
+    """The connection set sorted and deduplicated, after checking that it
+    holds element indices only and not the identity."""
+    elements = tuple(sorted(set(con)))
+    for s in elements:
+        if not 0 <= s < spec.order:
+            raise ValueError(f"connection element {s} out of range for {spec}")
+    if spec.identity in elements:
+        raise ValueError("identity element not allowed in a connection set")
+    return elements
 
 
 def element_power(spec: GroupSpec, g: GroupElement, m: int) -> GroupElement:

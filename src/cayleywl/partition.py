@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from .groups import GroupSpec
 
@@ -42,13 +42,11 @@ class OrderedPartition:
         return cls(spec, tuple(normalized))
 
     @classmethod
-    def from_labels(cls, spec: GroupSpec, labels: Sequence[int]) -> OrderedPartition:
+    def from_labels(cls, spec: GroupSpec, labels: Sequence[Hashable]) -> OrderedPartition:
+        """Group the elements by equal label; any hashable labels will do."""
         if len(labels) != spec.order:
             raise ValueError(f"expected {spec.order} labels, got {len(labels)}")
-        buckets: dict[int, list[int]] = {}
-        for g, lab in enumerate(labels):
-            buckets.setdefault(lab, []).append(g)
-        return cls(spec, tuple(sorted(tuple(c) for c in buckets.values())))
+        return cls(spec, label_classes(labels))
 
     @classmethod
     def single(cls, spec: GroupSpec) -> OrderedPartition:
@@ -90,13 +88,8 @@ class OrderedPartition:
         """Coarsest common refinement: all nonempty pairwise intersections."""
         if self.spec != other.spec:
             raise ValueError("partitions over different groups")
-        mine, theirs = self.membership, other.membership
-        keys: dict[tuple[int, int], int] = {}
-        labels = []
-        for g in range(self.spec.order):
-            key = (mine[g], theirs[g])
-            labels.append(keys.setdefault(key, len(keys)))
-        return OrderedPartition.from_labels(self.spec, labels)
+        pairs = tuple(zip(self.membership, other.membership))
+        return OrderedPartition.from_labels(self.spec, pairs)
 
     def spans(self, elements: Iterable[int]) -> bool:
         """True when the element set is exactly a union of classes."""
@@ -108,7 +101,7 @@ class OrderedPartition:
 
     def to_text(self) -> str:
         """Canonical text form, e.g. ``"0|1,8|2,7|3,6|4,5"``."""
-        return "|".join(",".join(str(g) for g in c) for c in self.classes)
+        return classes_text(self.classes)
 
     @classmethod
     def from_text(cls, spec: GroupSpec, text: str) -> OrderedPartition:
@@ -121,6 +114,26 @@ class OrderedPartition:
 
 def meet(p: OrderedPartition, q: OrderedPartition) -> OrderedPartition:
     return p.meet(q)
+
+
+def label_classes(labels: Iterable[Hashable]) -> tuple[tuple[int, ...], ...]:
+    """Positions grouped by equal label, each class ascending.  Classes come
+    in order of first occurrence, which is the order of their minima."""
+    buckets: dict[Hashable, list[int]] = {}
+    for i, lab in enumerate(labels):
+        buckets.setdefault(lab, []).append(i)
+    return tuple(map(tuple, buckets.values()))
+
+
+def classes_text(classes: Iterable[Iterable[int]]) -> str:
+    """Classes as comma-separated indices joined by ``|``."""
+    return "|".join(",".join(map(str, c)) for c in classes)
+
+
+def dense_rank(values: Sequence[Any]) -> tuple[int, ...]:
+    """Each value's rank among the sorted distinct values."""
+    ids = {v: i for i, v in enumerate(sorted(set(values)))}
+    return tuple(map(ids.__getitem__, values))
 
 
 @dataclass(frozen=True)
@@ -146,9 +159,7 @@ def rank_signatures(old: Sequence[int], gathered: Iterable[Iterable[int]]) -> tu
     the sorted distinct signatures.  Ranking sorted signatures keeps the ids
     independent of the position order, which canonical labeling relies on.
     """
-    sigs = [(o, tuple(sorted(g))) for o, g in zip(old, gathered)]
-    ids = {s: i for i, s in enumerate(sorted(set(sigs)))}
-    return tuple(map(ids.__getitem__, sigs))
+    return dense_rank([(o, tuple(sorted(g))) for o, g in zip(old, gathered)])
 
 
 def refine_to_stable(start: Any, step: Callable[[Any], Any]) -> RefinementTrace:

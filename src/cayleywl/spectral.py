@@ -12,7 +12,7 @@ import cmath
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .groups import GroupSpec, is_prime, multiplier_orbits
+from .groups import GroupSpec, connection_set, is_prime, multiplier_orbits
 from .partition import OrderedPartition
 
 
@@ -35,16 +35,15 @@ def stabilizer_subgroup(p: int, con: Iterable[int]) -> StabilizerData:
     units mod p) together with its index."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    con_set = frozenset(con)
-    if not con_set:
+    elements = connection_set(GroupSpec((p,)), con)
+    if not elements:
         raise ValueError("connection set must be nonempty")
-    if any(not 1 <= c <= p - 1 for c in con_set):
-        raise ValueError("connection elements must lie in 1..p-1")
+    con_set = frozenset(elements)
     h_elements = tuple(
         h for h in range(1, p) if {(h * c) % p for c in con_set} == con_set
     )
     d_con = (p - 1) // len(h_elements)
-    data = StabilizerData(p, tuple(sorted(con_set)), h_elements, d_con)
+    data = StabilizerData(p, elements, h_elements, d_con)
     assert 1 in data.h_elements
     assert data.d_con * len(data.h_elements) == p - 1
     return data
@@ -63,13 +62,7 @@ def numeric_spectrum(sd: StabilizerData) -> list[complex]:
     c*k over the connection elements c; index 0 always gives exactly |con|.
     """
     p = sd.p
-    values = []
-    for k in range(p):
-        if k == 0:
-            values.append(complex(len(sd.con)))
-        else:
-            values.append(sum(cmath.exp(2j * cmath.pi * c * k / p) for c in sd.con))
-    return values
+    return [sum(cmath.exp(2j * cmath.pi * c * k / p) for c in sd.con) for k in range(p)]
 
 
 def group_spectrum(sd: StabilizerData, values: Sequence[complex], tolerance: float = 1e-9) -> OrderedPartition:

@@ -85,16 +85,15 @@ def con_to_mask(con: tuple[int, ...]) -> int:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """One sweep: orders to cover, enumeration mode, and cross-check flag.
+    """One sweep: orders to cover, sample count, and cross-check flag.
 
-    Exhaustive mode enumerates all 2^(n-1) connection sets per order (empty
-    set included) and is limited to n <= 20; sampled mode requires an
-    explicit seed.
+    Without a sample count the sweep is exhaustive: it enumerates all
+    2^(n-1) connection sets per order (empty set included) and is limited
+    to n <= 20.  A sampled sweep requires an explicit seed.
     """
 
     n_values: tuple[int, ...]
-    mode: str = "exhaustive"  # "exhaustive" | "sampled"
-    sample_count: int = 0
+    sample_count: Optional[int] = None
     seed: Optional[int] = None
     cross_check: bool = False
     jobs: int = 1
@@ -104,15 +103,13 @@ class SweepConfig:
             raise ValueError("empty sweep order range")
         if any(n < 2 for n in self.n_values):
             raise ValueError("sweep orders must be >= 2")
-        if self.mode not in ("exhaustive", "sampled"):
-            raise ValueError(f"unknown sweep mode {self.mode!r}")
-        if self.mode == "exhaustive" and any(n > EXHAUSTIVE_LIMIT for n in self.n_values):
-            raise ValueError(f"exhaustive mode limited to n <= {EXHAUSTIVE_LIMIT}")
-        if self.mode == "sampled":
-            if self.seed is None:
-                raise ValueError("sampled mode requires an explicit seed")
-            if self.sample_count < 1:
-                raise ValueError("sampled mode requires a positive sample count")
+        if self.sample_count is None:
+            if any(n > EXHAUSTIVE_LIMIT for n in self.n_values):
+                raise ValueError(f"exhaustive mode limited to n <= {EXHAUSTIVE_LIMIT}")
+        elif self.seed is None:
+            raise ValueError("sampled mode requires an explicit seed")
+        elif self.sample_count < 1:
+            raise ValueError("sampled mode requires a positive sample count")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
 
@@ -278,10 +275,10 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     records: list[SweepRecord] = []
     with multiprocessing.Pool(cfg.jobs) if cfg.jobs > 1 else nullcontext() as pool:
         for n in sorted(cfg.n_values):
-            if cfg.mode == "exhaustive":
+            if cfg.sample_count is None:
                 masks = range(0, 1 << n, 2)
             else:
-                masks = sorted(sample_connection_masks(n, cfg.sample_count, cfg.seed or 0))
+                masks = sorted(sample_connection_masks(n, cfg.sample_count, cfg.seed))
             records.extend(_sweep_order(n, masks, cfg.cross_check, pool))
     return records
 

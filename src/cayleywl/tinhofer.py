@@ -14,9 +14,11 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import product
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
-from .groups import GroupSpec, is_prime
+from .groups import GroupSpec, connection_set, is_prime
+from .partition import dense_rank, label_classes
 from .wl import (
     CayleyGraph,
     DiGraph,
@@ -36,8 +38,7 @@ def individualize(c: VertexColoring, *vertices: int) -> VertexColoring:
     fresh = c.class_count
     for v in vertices:
         colors[v] = fresh
-    remap = {old: new for new, old in enumerate(sorted(set(colors)))}
-    return VertexColoring(c.n, tuple(map(remap.__getitem__, colors)))
+    return VertexColoring(c.n, dense_rank(colors))
 
 
 def disjoint_union(a: DiGraph, b: DiGraph) -> DiGraph:
@@ -48,11 +49,8 @@ def disjoint_union(a: DiGraph, b: DiGraph) -> DiGraph:
 
 def _preserves_edges(a: DiGraph, b: DiGraph, perm: Sequence[int]) -> bool:
     """True when perm maps edges of a exactly onto edges of b."""
-    for u in range(a.n):
-        image = {perm[v] for v in a.out_neighbors[u]}
-        if image != set(b.out_neighbors[perm[u]]):
-            return False
-    return True
+    out_b = b._out_sets
+    return all({perm[v] for v in a.out_neighbors[u]} == out_b[perm[u]] for u in range(a.n))
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +178,7 @@ def coloring_orbits(dg: DiGraph, colors: Sequence[int]) -> tuple[int, ...]:
         if rx != ry:
             parent[max(rx, ry)] = min(rx, ry)
 
-    classes: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        classes.setdefault(c, []).append(v)
-    for members in classes.values():
+    for members in label_classes(colors):
         for i, v0 in enumerate(members):
             for v in members[i + 1 :]:
                 if find(v0) == find(v):
@@ -293,54 +288,38 @@ def has_tinhofer_property(g: Graph, budget: int = 1_000_000) -> TinhoferReport:
             orbit_memo[copy_colors] = coloring_orbits(dg, copy_colors)
         return orbit_memo[copy_colors]
 
-    def reps(vertices: list[int], orbit_labels: tuple[int, ...]) -> list[int]:
-        seen: set[int] = set()
-        out = []
-        for v in vertices:
-            if orbit_labels[v] not in seen:
-                seen.add(orbit_labels[v])
-                out.append(v)
-        return out
-
-    def stabilize(c: VertexColoring) -> tuple[int, ...]:
-        return cr_stabilize(union, c).final.colors
+    def judge(colors: tuple[int, ...]) -> Optional[_Failure]:
+        """The first failure below a stable coloring, or None.  One vertex
+        per orbit is tried in each copy: the least, which labels its orbit."""
+        kind, found = _judge(dg, dg, colors)
+        if kind == "mismatch":
+            return _Failure("color-multiset-mismatch", ())
+        if kind == "leaf":
+            return None if found is not None else _Failure("non-automorphism", ())
+        c_g, c_h = colors[:n], colors[n:]
+        orbit_g, orbit_h = orbits(c_g), orbits(c_h)
+        coloring = VertexColoring(union.n, colors)
+        for color in found:
+            vs = [v for v in range(n) if c_g[v] == color and orbit_g[v] == v]
+            ws = [w for w in range(n) if c_h[w] == color and orbit_h[w] == w]
+            for v, w in product(vs, ws):
+                child = cr_stabilize(union, individualize(coloring, v, n + w)).final
+                sub = explore(child.colors)
+                if sub is not None:
+                    return _Failure(sub.kind, ((v, w),) + sub.pairs)
+        return None
 
     def explore(colors: tuple[int, ...]) -> Optional[_Failure]:
         nonlocal nodes
         nodes += 1
         if nodes > budget:
             raise _BudgetExceeded
-        if colors in memo:
-            return memo[colors]
-        c_g, c_h = colors[:n], colors[n:]
-        kind, found = _judge(dg, dg, colors)
-        result: Optional[_Failure] = None
-        if kind == "mismatch":
-            result = _Failure("color-multiset-mismatch", ())
-        elif kind == "leaf":
-            if found is None:
-                result = _Failure("non-automorphism", ())
-        else:
-            coloring = VertexColoring(union.n, colors)
-            for color in found:
-                vs = [v for v in range(n) if c_g[v] == color]
-                ws = [w for w in range(n) if c_h[w] == color]
-                for v in reps(vs, orbits(c_g)):
-                    for w in reps(ws, orbits(c_h)):
-                        child = stabilize(individualize(coloring, v, n + w))
-                        sub = explore(child)
-                        if sub is not None:
-                            result = _Failure(sub.kind, ((v, w),) + sub.pairs)
-                            break
-                    if result is not None:
-                        break
-                if result is not None:
-                    break
-        memo[colors] = result
-        return result
+        if colors not in memo:
+            memo[colors] = judge(colors)
+        return memo[colors]
 
     try:
-        failure = explore(stabilize(uniform_coloring(union.n)))
+        failure = explore(cr_stabilize(union, uniform_coloring(union.n)).final.colors)
     except _BudgetExceeded:
         return TinhoferReport("budget-exceeded", None, None, nodes)
     if failure is None:
@@ -396,9 +375,7 @@ def canonical_form_prime_circulant(
     if len(spec.moduli) != 1 or not is_prime(spec.order):
         raise ValueError(f"canonical labeling requires a prime-order cyclic group, got {spec}")
     p = spec.order
-    con_set = frozenset(con)
-    if spec.identity in con_set:
-        raise ValueError("identity element not allowed in a connection set")
+    con_set = frozenset(connection_set(spec, con))
     if not con_set or len(con_set) == p - 1:
         order = tuple(range(p))
         return CanonicalForm(order, _circulant_code(p, con_set, order))

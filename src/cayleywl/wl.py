@@ -12,8 +12,15 @@ from functools import cached_property, partial
 from operator import add
 from typing import Iterable, Union
 
-from .groups import GroupSpec, parse_group_spec
-from .partition import OrderedPartition, RefinementTrace, rank_signatures, refine_to_stable
+from .groups import GroupSpec, connection_set, parse_group_spec
+from .partition import (
+    OrderedPartition,
+    RefinementTrace,
+    dense_rank,
+    label_classes,
+    rank_signatures,
+    refine_to_stable,
+)
 
 
 class GraphFormatError(ValueError):
@@ -81,13 +88,7 @@ class CayleyGraph:
     con: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        con = tuple(sorted(set(self.con)))
-        object.__setattr__(self, "con", con)
-        for s in con:
-            if not 0 <= s < self.spec.order:
-                raise ValueError(f"connection element {s} out of range for {self.spec}")
-        if self.spec.identity in con:
-            raise ValueError("identity element not allowed in a connection set")
+        object.__setattr__(self, "con", connection_set(self.spec, self.con))
 
     @property
     def n(self) -> int:
@@ -106,11 +107,8 @@ Graph = Union[DiGraph, CayleyGraph]
 
 def build_cayley(spec: GroupSpec, con: Iterable[int]) -> DiGraph:
     """Materialize the Cayley graph as a plain digraph."""
-    con_set = sorted(set(con))
-    if spec.identity in con_set:
-        raise ValueError("identity element not allowed in a connection set")
     n = spec.order
-    rows = [spec.sum_row(s) for s in con_set]
+    rows = [spec.sum_row(s) for s in connection_set(spec, con)]
     ins: list[list[int]] = [[] for _ in range(n)]
     for row in rows:
         for h, g in enumerate(row):
@@ -168,8 +166,7 @@ def initial_pair_coloring(g: Graph) -> PairColoring:
         for i in range(n)
         for j in range(n)
     ]
-    realized = {cat: idx for idx, cat in enumerate(sorted(set(raw)))}
-    return PairColoring(n, tuple(realized[c] for c in raw))
+    return PairColoring(n, dense_rank(raw))
 
 
 def wl2_step(c: PairColoring) -> PairColoring:
@@ -232,9 +229,7 @@ def initial_cayley_smodule(spec: GroupSpec, con: Iterable[int]) -> OrderedPartit
     """Group partition matching the structural pair coloring of Cay(G, con):
     identity, bidirectional, forward-only, backward-only, and non-neighbor
     classes, with unrealized classes dropped."""
-    con_set = set(con)
-    if spec.identity in con_set:
-        raise ValueError("identity element not allowed in a connection set")
+    con_set = set(connection_set(spec, con))
     neg = {spec.neg(s) for s in con_set}
     labels = [
         0 if g == spec.identity else _pair_category(g in con_set, g in neg)
@@ -270,10 +265,7 @@ class VertexColoring:
 
     def classes(self) -> tuple[tuple[int, ...], ...]:
         """Vertex classes in canonical order (by minimum vertex)."""
-        buckets: dict[int, list[int]] = {}
-        for v, c in enumerate(self.colors):
-            buckets.setdefault(c, []).append(v)
-        return tuple(sorted(tuple(c) for c in buckets.values()))
+        return label_classes(self.colors)
 
 
 def uniform_coloring(n: int) -> VertexColoring:
@@ -339,7 +331,7 @@ def parse_cayley_graph(text: str) -> CayleyGraph:
                 con.append(_residue_index(spec, residues, pos))
     if spec.identity in con:
         raise GraphFormatError("identity element not allowed in connection set", colon + 1)
-    return CayleyGraph(spec, tuple(sorted(set(con))))
+    return CayleyGraph(spec, tuple(con))
 
 
 def _residue_index(spec: GroupSpec, residues: tuple[int, ...], pos: int) -> int:

@@ -311,6 +311,48 @@ def exponentiation_closure_oracle(partition: OrderedPartition) -> set[frozenset[
     return {frozenset(s) for s in groups.values()}
 
 
+def meet_oracle(p: OrderedPartition, q: OrderedPartition) -> OrderedPartition:
+    """Meet by first-occurrence ids of the (class, class) pairs."""
+    if p.spec != q.spec:
+        raise ValueError("partitions over different groups")
+    mine, theirs = p.membership, q.membership
+    keys: dict[tuple[int, int], int] = {}
+    labels = []
+    for g in range(p.spec.order):
+        key = (mine[g], theirs[g])
+        labels.append(keys.setdefault(key, len(keys)))
+    return OrderedPartition.from_labels(p.spec, labels)
+
+
+def induced_partition_oracle(v: GroupRingElement) -> OrderedPartition:
+    """Coefficient partition by first-occurrence ids of the coefficients."""
+    keys: dict[int, int] = {}
+    labels = [keys.setdefault(c, len(keys)) for c in v.coeffs]
+    return OrderedPartition.from_labels(v.spec, labels)
+
+
+def scaled_partition_oracle(partition: OrderedPartition, m: int) -> OrderedPartition:
+    """Image under ``g -> m*g`` (m a unit), class by class."""
+    spec = partition.spec
+    image = [0] * spec.order
+    for ci, cls in enumerate(partition.classes):
+        for g in cls:
+            image[spec.scale(g, m)] = ci
+    return OrderedPartition.from_labels(spec, image)
+
+
+def is_exponentiation_stable_oracle(partition: OrderedPartition) -> bool:
+    """Every unit-multiplier image of every class is a union of classes."""
+    spec = partition.spec
+    for m in unit_multipliers(spec):
+        if m == 1:
+            continue
+        for cls in partition.classes:
+            if not partition.spans(spec.scale(g, m) for g in cls):
+                return False
+    return True
+
+
 def color_bijections_oracle(
     a: DiGraph,
     b: DiGraph,
@@ -421,6 +463,12 @@ def relabeled(g: DiGraph, colors: Sequence[int], pi: Sequence[int]) -> tuple[DiG
         moved[pi[v]] = c
     edges = [(pi[u], pi[v]) for u in range(g.n) for v in g.out_neighbors[u]]
     return DiGraph.from_edges(g.n, edges), tuple(moved)
+
+
+# cyclic groups of order 2..16 and the non-cyclic groups of order 8 and 9
+MIXED_SPECS = [GroupSpec((n,)) for n in range(2, 17)] + [
+    GroupSpec(moduli) for moduli in ((2, 4), (3, 3), (2, 2, 2))
+]
 
 
 def random_partition(spec: GroupSpec, rng: random.Random, max_classes: int = 0) -> OrderedPartition:

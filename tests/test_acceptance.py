@@ -92,7 +92,6 @@ def test_c03_engine_equivalence():
     sampled = run_sweep(
         SweepConfig(
             n_values=tuple(range(11, 17)),
-            mode="sampled",
             sample_count=500,
             seed=SEED,
             cross_check=True,

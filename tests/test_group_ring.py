@@ -9,19 +9,27 @@ from cayleywl import (
     induced_partition,
     is_exponentiation_stable,
     multiply,
+    power_equivalence_classes,
     power_map,
     refine,
     refine_con,
     simple_quantity,
     stabilize_refine,
     stabilize_refine_con,
+    unit_multipliers,
 )
-from cayleywl.group_ring import GroupRingElement
+from cayleywl.group_ring import GroupRingElement, scaled_partition
 from invariants import (
+    MIXED_SPECS,
+    coarsen,
     conv_oracle,
     exponentiation_closure_oracle,
+    induced_partition_oracle,
+    is_exponentiation_stable_oracle,
     pushforward_oracle,
+    random_partition,
     refine_oracle,
+    scaled_partition_oracle,
 )
 
 Z7 = GroupSpec((7,))
@@ -227,3 +235,21 @@ def test_is_exponentiation_stable():
     assert not is_exponentiation_stable(
         OrderedPartition.from_classes(Z7, [[0], [1, 2], [3, 4, 5, 6]])
     )
+
+
+@given(st.sampled_from(MIXED_SPECS), st.randoms(use_true_random=False))
+def test_induced_partition_matches_oracle(spec, rnd):
+    v = GroupRingElement(spec, tuple(rnd.randint(-3, 3) for _ in range(spec.order)))
+    assert induced_partition(v).classes == induced_partition_oracle(v).classes
+
+
+@given(st.sampled_from(MIXED_SPECS), st.integers(1, 6), st.randoms(use_true_random=False))
+def test_exponentiation_helpers_match_oracles(spec, k, rnd):
+    part = random_partition(spec, rnd, k)
+    for m in unit_multipliers(spec):
+        assert scaled_partition(part, m).classes == scaled_partition_oracle(part, m).classes
+    closed = exponentiation_closure(part)
+    assert {frozenset(c) for c in closed.classes} == exponentiation_closure_oracle(part)
+    assert is_exponentiation_stable_oracle(closed)
+    for p in (part, closed, coarsen(closed, rnd), power_equivalence_classes(spec)):
+        assert is_exponentiation_stable(p) == is_exponentiation_stable_oracle(p)

@@ -3,11 +3,17 @@ from hypothesis import given, strategies as st
 
 from cayleywl import (
     GroupSpec,
+    OrderedPartition,
+    build_cayley,
+    canonical_form_prime_circulant,
     divisor_count,
     element_power,
+    initial_cayley_smodule,
     parse_group_spec,
     power_class_count,
     power_equivalence_classes,
+    refine_con,
+    stabilizer_subgroup,
     unit_multipliers,
 )
 from invariants import power_classes_oracle
@@ -107,3 +113,32 @@ def test_power_classes_product_group_oracle():
 @pytest.mark.parametrize("n", range(1, 201))
 def test_power_class_count_is_divisor_count(n):
     assert len(power_equivalence_classes(GroupSpec((n,))).classes) == divisor_count(n)
+
+
+Z5 = GroupSpec((5,))
+
+
+@pytest.mark.parametrize(
+    "entry, con, message",
+    [
+        (lambda con: build_cayley(Z5, con), (-1,), "element -1 out of range for Z5"),
+        (lambda con: build_cayley(Z5, con), (7,), "element 7 out of range for Z5"),
+        (lambda con: initial_cayley_smodule(Z5, con), (7,), "element 7 out of range"),
+        (lambda con: refine_con(OrderedPartition.single(Z5), con), (7,), "element 7 out of range"),
+        (lambda con: canonical_form_prime_circulant(Z5, con), (2, 7), "element 7 out of range"),
+        (lambda con: stabilizer_subgroup(5, con), (7,), "element 7 out of range"),
+        (lambda con: stabilizer_subgroup(5, con), (0, 1), "identity element not allowed"),
+    ],
+    ids=[
+        "build_cayley-negative",
+        "build_cayley",
+        "initial_cayley_smodule",
+        "refine_con",
+        "canonical_form_prime_circulant",
+        "stabilizer_subgroup-range",
+        "stabilizer_subgroup-identity",
+    ],
+)
+def test_connection_set_checked_at_every_entry_point(entry, con, message):
+    with pytest.raises(ValueError, match=message):
+        entry(con)

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cayleywl import GroupSpec, OrderedPartition, meet
+from invariants import MIXED_SPECS, meet_oracle, random_partition
 
 
 Z4 = GroupSpec((4,))
@@ -66,6 +67,12 @@ def test_meet_commutative_and_refining(p, q):
 @given(partitions(Z9), partitions(Z9), partitions(Z9))
 def test_meet_associative(p, q, r):
     assert p.meet(q).meet(r).classes == p.meet(q.meet(r)).classes
+
+
+@given(st.sampled_from(MIXED_SPECS), st.integers(1, 6), st.randoms(use_true_random=False))
+def test_meet_matches_oracle(spec, k, rnd):
+    p, q = random_partition(spec, rnd, k), random_partition(spec, rnd, k)
+    assert p.meet(q).classes == meet_oracle(p, q).classes
 
 
 def test_spans():

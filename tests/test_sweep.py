@@ -63,9 +63,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(n_values=(21,))
     with pytest.raises(ValueError):
-        SweepConfig(n_values=(11,), mode="sampled", sample_count=5)
-    with pytest.raises(ValueError):
-        SweepConfig(n_values=(11,), mode="guess")
+        SweepConfig(n_values=(11,), sample_count=5)
 
 
 def test_sweep_instance_z9_example():
@@ -143,7 +141,7 @@ def test_run_sweep_matches_scalar_exhaustive(engine_calls, cross_check):
 @pytest.mark.parametrize("cross_check", [False, True])
 def test_run_sweep_matches_scalar_sampled(cross_check):
     cfg = SweepConfig(
-        n_values=(17, 18, 19, 20), mode="sampled", sample_count=40, seed=11,
+        n_values=(17, 18, 19, 20), sample_count=40, seed=11,
         cross_check=cross_check,
     )
     scalar = [
@@ -158,8 +156,8 @@ def test_run_sweep_matches_scalar_sampled(cross_check):
     "cfg",
     [
         SweepConfig(n_values=tuple(range(2, 13))),
-        SweepConfig(n_values=(15, 18), mode="sampled", sample_count=200, seed=3),
-        SweepConfig(n_values=(9, 10, 13), mode="sampled", sample_count=60, seed=5, cross_check=True),
+        SweepConfig(n_values=(15, 18), sample_count=200, seed=3),
+        SweepConfig(n_values=(9, 10, 13), sample_count=60, seed=5, cross_check=True),
     ],
     ids=["exhaustive", "sampled", "cross-check"],
 )
