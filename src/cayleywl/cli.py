@@ -81,10 +81,6 @@ def _parse_vertex(token: str, g: Graph) -> int:
     return v
 
 
-def _classes_json(classes: tuple[tuple[int, ...], ...]) -> list[list[int]]:
-    return [list(c) for c in classes]
-
-
 def _rounds_text(fmt: str, rounds: int, key: str, value: object, shown: object) -> str:
     """One ``wl2``/``cr`` result: ``value`` goes into JSON, ``shown`` into
     csv and text, and the text format spells ``key`` with dashes."""
@@ -95,22 +91,19 @@ def _rounds_text(fmt: str, rounds: int, key: str, value: object, shown: object) 
     return f"rounds: {rounds}, {key.replace('_', '-')}: {shown}\n"
 
 
-def _cmd_wl2(args: argparse.Namespace) -> int:
+def _cmd_wl2(args: argparse.Namespace) -> str:
     g = _load_graph(args.graph)
     trace = wl2_stabilize(g)
     if isinstance(g, CayleyGraph):
         module = induced_smodule(trace.final, g.spec)
-        text = _rounds_text(
-            args.format, trace.rounds, "classes", _classes_json(module.classes), module.to_text()
+        return _rounds_text(
+            args.format, trace.rounds, "classes", module.classes, module.to_text()
         )
-    else:
-        count = trace.final.class_count
-        text = _rounds_text(args.format, trace.rounds, "pair_classes", count, count)
-    _emit(text, args.out)
-    return 0
+    count = trace.final.class_count
+    return _rounds_text(args.format, trace.rounds, "pair_classes", count, count)
 
 
-def _cmd_cr(args: argparse.Namespace) -> int:
+def _cmd_cr(args: argparse.Namespace) -> str:
     g = _load_graph(args.graph)
     n = g.n
     coloring = uniform_coloring(n)
@@ -118,44 +111,37 @@ def _cmd_cr(args: argparse.Namespace) -> int:
         coloring = individualize(coloring, _parse_vertex(token, g))
     trace = cr_stabilize(g, coloring)
     classes = trace.final.classes()
-    text = _rounds_text(
-        args.format, trace.rounds, "classes", _classes_json(classes), classes_text(classes)
-    )
-    _emit(text, args.out)
-    return 0
+    return _rounds_text(args.format, trace.rounds, "classes", classes, classes_text(classes))
 
 
-def _cmd_smodule(args: argparse.Namespace) -> int:
+def _cmd_smodule(args: argparse.Namespace) -> str:
     g = _load_graph(args.graph)
     if not isinstance(g, CayleyGraph):
         raise GraphFormatError("smodule needs a Cayley graph input", 0)
     initial = initial_cayley_smodule(g.spec, g.con)
     trace = stabilize_refine(initial)
     if args.format == "json":
-        text = json.dumps(
+        return json.dumps(
             {
-                "initial": _classes_json(initial.classes),
+                "initial": initial.classes,
                 "rounds": trace.rounds,
-                "stable": _classes_json(trace.final.classes),
+                "stable": trace.final.classes,
             },
             sort_keys=True,
         ) + "\n"
-    elif args.format == "csv":
-        text = (
+    if args.format == "csv":
+        return (
             "rounds,initial,stable\n"
             f"{trace.rounds},{initial.to_text()},{trace.final.to_text()}\n"
         )
-    else:
-        text = (
-            f"initial: {initial.to_text()}\n"
-            f"rounds: {trace.rounds}\n"
-            f"stable: {trace.final.to_text()}\n"
-        )
-    _emit(text, args.out)
-    return 0
+    return (
+        f"initial: {initial.to_text()}\n"
+        f"rounds: {trace.rounds}\n"
+        f"stable: {trace.final.to_text()}\n"
+    )
 
 
-def _cmd_spectrum(args: argparse.Namespace) -> int:
+def _cmd_spectrum(args: argparse.Namespace) -> str:
     g = _load_graph(args.graph)
     if not isinstance(g, CayleyGraph) or len(g.spec.moduli) != 1:
         raise GraphFormatError("spectrum needs a cyclic Cayley graph input", 0)
@@ -171,16 +157,11 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
             {"k": k, "real": values[k].real, "imag": values[k].imag, "class": member[k]}
             for k in range(p)
         ]
-        text = json.dumps(rows, sort_keys=True) + "\n"
-    else:
-        lines = ["k,real,imag,class"]
-        for k in range(p):
-            lines.append(
-                f"{k},{values[k].real:.12g},{values[k].imag:.12g},{member[k]}"
-            )
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
-    return 0
+        return json.dumps(rows, sort_keys=True) + "\n"
+    lines = ["k,real,imag,class"]
+    for k in range(p):
+        lines.append(f"{k},{values[k].real:.12g},{values[k].imag:.12g},{member[k]}")
+    return "\n".join(lines) + "\n"
 
 
 def _node_budget(args: argparse.Namespace) -> int:
@@ -189,30 +170,28 @@ def _node_budget(args: argparse.Namespace) -> int:
     return args.max_nodes
 
 
-def _cmd_tinhofer_check(args: argparse.Namespace) -> int:
+def _cmd_tinhofer_check(args: argparse.Namespace) -> str:
     budget = _node_budget(args)
     report = has_tinhofer_property(_load_graph(args.graph), budget=budget)
     payload = {
         "property": {"true": True, "false": False}.get(report.status),
         "status": report.status,
-        "certificate": [list(p) for p in report.certificate] if report.certificate else None,
+        "certificate": report.certificate or None,
         "nodes": report.nodes,
     }
-    _emit(json.dumps(payload, sort_keys=True) + "\n", args.out)
-    return 0
+    return json.dumps(payload, sort_keys=True) + "\n"
 
 
-def _cmd_canon(args: argparse.Namespace) -> int:
+def _cmd_canon(args: argparse.Namespace) -> str:
     g = _load_graph(args.graph)
     if not isinstance(g, CayleyGraph):
         raise GraphFormatError("canon needs a Cayley graph input", 0)
     form = canonical_form_prime_circulant(g.spec, g.con)
-    payload = {"code": form.hex, "order": list(form.order)}
-    _emit(json.dumps(payload, sort_keys=True) + "\n", args.out)
-    return 0
+    payload = {"code": form.hex, "order": form.order}
+    return json.dumps(payload, sort_keys=True) + "\n"
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> str:
     cfg = SweepConfig(
         n_values=tuple(range(args.n_min, args.n_max + 1)),
         sample_count=args.sample,
@@ -233,26 +212,22 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             }
             for r in records
         ]
-        text = json.dumps(rows, sort_keys=True) + "\n"
-    else:
-        lines = ["n,set,rounds,rounds_wl2,bound,d"]
-        for r in records:
-            wl2 = "" if r.rounds_wl2 is None else str(r.rounds_wl2)
-            lines.append(f"{r.n},{r.set_mask},{r.rounds},{wl2},{r.bound},{r.d}")
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
-    return 0
+        return json.dumps(rows, sort_keys=True) + "\n"
+    lines = ["n,set,rounds,rounds_wl2,bound,d"]
+    for r in records:
+        wl2 = "" if r.rounds_wl2 is None else str(r.rounds_wl2)
+        lines.append(f"{r.n},{r.set_mask},{r.rounds},{wl2},{r.bound},{r.d}")
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_counterexample(args: argparse.Namespace) -> int:
+def _cmd_counterexample(args: argparse.Namespace) -> str:
     report = reproduce_counterexample(budget=_node_budget(args))
     lines = ["round class lists (element indices, index = 4a+b):"]
     for i, text in enumerate(report.computed_rounds):
         lines.append(f"  round {i}: {text}")
     lines.append(f"tinhofer property: {report.tinhofer.status}")
     lines.append(f"certificate: {list(report.tinhofer.certificate or ())}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -260,7 +235,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser, formats: Sequence[str] = ("text", "json", "csv")) -> None:
-        p.add_argument("--format", choices=list(formats), default=formats[0])
+        """Declare ``--format`` over the given formats (none: a fixed format)
+        and ``--out``."""
+        if formats:
+            p.add_argument("--format", choices=list(formats), default=formats[0])
         p.add_argument("--out", default=None, help="write output to a file")
 
     p = sub.add_parser("wl2", help="stabilize the pair-coloring refinement")
@@ -292,20 +270,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tinhofer-check", help="decide the Tinhofer property")
     p.add_argument("graph")
     p.add_argument("--max-nodes", type=int, default=1_000_000)
-    p.add_argument("--out", default=None)
+    common(p, formats=())
     p.set_defaults(func=_cmd_tinhofer_check)
 
     p = sub.add_parser("canon", help="canonical form of a prime circulant")
     p.add_argument("graph")
-    p.add_argument("--out", default=None)
+    common(p, formats=())
     p.set_defaults(func=_cmd_canon)
 
     p = sub.add_parser("sweep", help="round-bound sweep over connection sets")
     p.add_argument("--n-min", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--exhaustive", action="store_true", default=True)
-    group.add_argument("--sample", type=int, default=None, metavar="COUNT")
+    p.add_argument("--sample", type=int, default=None, metavar="COUNT")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--cross-check", action="store_true")
     p.add_argument("--jobs", type=int, default=1)
@@ -314,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("counterexample", help="reproduce the 16-vertex counterexample")
     p.add_argument("--max-nodes", type=int, default=1_000_000)
-    p.add_argument("--out", default=None)
+    common(p, formats=())
     p.set_defaults(func=_cmd_counterexample)
 
     return parser
@@ -324,7 +300,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        _emit(args.func(args), args.out)
+        return 0
     except (ValueError, OSError) as exc:
         print(f"cayleywl: {exc}", file=sys.stderr)
         return 1

@@ -29,14 +29,11 @@ class OrderedPartition:
 
     @classmethod
     def from_classes(cls, spec: GroupSpec, classes: Iterable[Iterable[int]]) -> OrderedPartition:
-        normalized = sorted(tuple(sorted(set(c))) for c in classes if tuple(c))
-        seen: set[int] = set()
-        total = 0
-        for c in normalized:
-            if not c:
-                raise ValueError("empty class in partition")
-            total += len(c)
-            seen.update(c)
+        """Canonical partition from classes in any order; each class is read
+        once, so iterators will do, and empty classes are dropped."""
+        normalized = sorted(filter(None, (tuple(sorted(set(c))) for c in classes)))
+        seen: set[int] = set().union(*normalized)
+        total = sum(map(len, normalized))
         if seen != set(range(spec.order)) or total != spec.order:
             raise ValueError(f"classes do not partition the {spec.order} group elements")
         return cls(spec, tuple(normalized))

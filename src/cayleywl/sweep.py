@@ -36,6 +36,8 @@ _SEED_MIX = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 
 EXHAUSTIVE_LIMIT = 20
+# a sampled mask is n - 1 bits of one 64-bit generator state
+SAMPLE_LIMIT = 65
 
 
 def ceil_log2(n: int) -> int:
@@ -89,7 +91,8 @@ class SweepConfig:
 
     Without a sample count the sweep is exhaustive: it enumerates all
     2^(n-1) connection sets per order (empty set included) and is limited
-    to n <= 20.  A sampled sweep requires an explicit seed.
+    to n <= 20.  A sampled sweep requires an explicit seed and is limited
+    to n <= 65.
     """
 
     n_values: tuple[int, ...]
@@ -110,6 +113,8 @@ class SweepConfig:
             raise ValueError("sampled mode requires an explicit seed")
         elif self.sample_count < 1:
             raise ValueError("sampled mode requires a positive sample count")
+        elif any(n > SAMPLE_LIMIT for n in self.n_values):
+            raise ValueError(f"sampled mode limited to n <= {SAMPLE_LIMIT}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
 
@@ -190,16 +195,9 @@ def _bounded(record: SweepRecord) -> SweepRecord:
 def sweep_instance(n: int, mask: int, cross_check: bool = False) -> SweepRecord:
     """Stabilize one circulant instance on the algebraic path, optionally
     cross-checking round count and final partition against the pair-coloring
-    engine."""
-    spec = GroupSpec((n,))
-    [(rounds, classes)] = _stable_modules(spec, [mask])
-    rounds_wl2: Optional[int] = None
-    if cross_check:
-        final = OrderedPartition(spec, classes)
-        rounds_wl2 = _cross_check(n, mask, rounds, final, _wl2_modules(spec, [mask])[0])
-    return _bounded(
-        SweepRecord(n, f"0x{mask:x}", rounds, rounds_wl2, round_bound(n), divisor_count(n))
-    )
+    engine: a one-mask orbit is its own representative, with multiplier 1."""
+    [record] = _sweep_order(n, [mask], cross_check, None)
+    return record
 
 
 def _orbits(spec: GroupSpec, masks: Sequence[int]) -> tuple[list[int], dict[int, tuple[int, int]]]:
@@ -223,6 +221,7 @@ def _orbits(spec: GroupSpec, masks: Sequence[int]) -> tuple[list[int], dict[int,
             continue
         slot = len(reps)
         reps.append(mask)
+        orbit[mask] = (slot, 1)  # even when stray bits keep it out of its own image set
         con = mask_to_con(mask, n)
         for m in units:
             image = con_to_mask(tuple(c * m % n for c in con))

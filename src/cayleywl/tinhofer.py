@@ -42,9 +42,8 @@ def individualize(c: VertexColoring, *vertices: int) -> VertexColoring:
 
 
 def disjoint_union(a: DiGraph, b: DiGraph) -> DiGraph:
-    edges = [(u, v) for u in range(a.n) for v in a.out_neighbors[u]]
-    edges += [(a.n + u, a.n + v) for u in range(b.n) for v in b.out_neighbors[u]]
-    return DiGraph.from_edges(a.n + b.n, edges)
+    shifted = [[a.n + v for v in heads] for heads in b.out_neighbors]
+    return DiGraph.from_out_lists(a.out_neighbors + tuple(shifted))
 
 
 def _preserves_edges(a: DiGraph, b: DiGraph, perm: Sequence[int]) -> bool:
@@ -75,9 +74,11 @@ def color_bijections(
     (class size, color, vertex) first.  A candidate w for v is consistent
     when the placed out- and in-neighbors of w are exactly the images of the
     placed out- and in-neighbors of v: set intersections in O(degree)
-    instead of an edge test against every placed vertex."""
+    instead of an edge test against every placed vertex.  Color multisets
+    need no comparison: a color-preserving injection between two n-vertex
+    graphs exists only when they are equal."""
     n = a.n
-    if b.n != n or Counter(colors_a) != Counter(colors_b):
+    if b.n != n:
         return
     pool: dict[int, list[int]] = {}
     for w, c in enumerate(colors_b):
@@ -120,7 +121,7 @@ def color_bijections(
 
     spread(deque(v for v, _ in forced))
     unseen = [v for v in range(n) if not seen[v]]
-    unseen.sort(key=lambda v: (len(pool[colors_a[v]]), colors_a[v], v))
+    unseen.sort(key=lambda v: (len(pool.get(colors_a[v], ())), colors_a[v], v))
     for root in unseen:
         if not seen[root]:
             seen[root] = True
@@ -133,7 +134,7 @@ def color_bijections(
             return
         v, u, forward = steps[k]
         if u < 0:
-            candidates = pool[colors_a[v]]
+            candidates = pool.get(colors_a[v], ())
         else:
             candidates = (b.out_neighbors if forward else b.in_neighbors)[mapping[u]]
         for w in candidates:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, partial
 from operator import add
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from .groups import GroupSpec, connection_set, parse_group_spec
 from .partition import (
@@ -40,21 +40,25 @@ class DiGraph:
     in_neighbors: tuple[tuple[int, ...], ...]
 
     @classmethod
+    def from_out_lists(cls, outs: Sequence[Sequence[int]]) -> DiGraph:
+        """Digraph from ascending, duplicate-free out-lists of in-range heads.
+        The in-lists come out ascending because tails are visited in order."""
+        ins: list[list[int]] = [[] for _ in outs]
+        for u, heads in enumerate(outs):
+            for v in heads:
+                ins[v].append(u)
+        return cls(len(outs), tuple(map(tuple, outs)), tuple(map(tuple, ins)))
+
+    @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> DiGraph:
         outs: list[set[int]] = [set() for _ in range(n)]
-        ins: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
             if u == v:
                 raise ValueError(f"loop at vertex {u} not allowed")
             outs[u].add(v)
-            ins[v].add(u)
-        return cls(
-            n,
-            tuple(tuple(sorted(s)) for s in outs),
-            tuple(tuple(sorted(s)) for s in ins),
-        )
+        return cls.from_out_lists([sorted(s) for s in outs])
 
     @cached_property
     def _out_sets(self) -> tuple[frozenset[int], ...]:
@@ -107,14 +111,10 @@ Graph = Union[DiGraph, CayleyGraph]
 
 def build_cayley(spec: GroupSpec, con: Iterable[int]) -> DiGraph:
     """Materialize the Cayley graph as a plain digraph."""
-    n = spec.order
     rows = [spec.sum_row(s) for s in connection_set(spec, con)]
-    ins: list[list[int]] = [[] for _ in range(n)]
-    for row in rows:
-        for h, g in enumerate(row):
-            ins[g].append(h)
-    outs = [tuple(sorted(heads)) for heads in zip(*rows)] if rows else [()] * n
-    return DiGraph(n, tuple(outs), tuple(tuple(sorted(tails)) for tails in ins))
+    return DiGraph.from_out_lists(
+        [sorted(heads) for heads in zip(*rows)] if rows else [()] * spec.order
+    )
 
 
 def as_digraph(g: Graph) -> DiGraph:

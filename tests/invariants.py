@@ -149,6 +149,14 @@ def cayley_in_neighbors(spec: GroupSpec, con: tuple[int, ...]) -> list[list[int]
     return out
 
 
+def transposed_in_neighbors(g: DiGraph) -> tuple[tuple[int, ...], ...]:
+    """In-neighbors of every vertex read off the out-lists by an edge test
+    per vertex pair, not from the digraph's own in-lists."""
+    return tuple(
+        tuple(u for u in range(g.n) if v in g.out_neighbors[u]) for v in range(g.n)
+    )
+
+
 def wl2_step_oracle(c: PairColoring) -> PairColoring:
     """One 2-WL round: recolor each pair by its old color together with the
     multiset over all third vertices v of the color pair (left leg, right leg).

@@ -232,11 +232,42 @@ def test_adjacency_errors_carry_positions(tmp_path, capsys, text):
     assert len(err.splitlines()) == 1
 
 
+OUT_COMMANDS = [
+    ["wl2", "Z9:1,3,6,8"],
+    ["cr", "Z7:1,6", "--individualize", "0", "--format", "json"],
+    ["smodule", "Z9:1,3,6,8", "--format", "csv"],
+    ["spectrum", "Z7:1,6"],
+    ["tinhofer-check", "Z7:1,6"],
+    ["canon", "Z7:1,2,4"],
+    ["sweep", "--n-min", "3", "--n-max", "5", "--format", "json"],
+    ["counterexample"],
+]
+
+
+@pytest.mark.parametrize("argv", OUT_COMMANDS, ids=lambda argv: argv[0])
+def test_out_writes_the_stdout_bytes(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *argv)
+    target = tmp_path / "out.txt"
+    assert run(capsys, *argv, "--out", str(target)) == (code, "", err)
+    if code == 0:
+        assert out and target.read_bytes() == out.encode()
+    else:  # counterexample exits 2 before writing anything
+        assert not target.exists()
+
+
 def test_out_into_missing_directory(tmp_path, capsys):
     target = tmp_path / "missing" / "out.txt"
     code, out, err = run(capsys, "cr", "Z7:1,6", "--out", str(target))
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and "missing" in err
+
+
+def test_sampled_sweep_order_limit(capsys):
+    # a sampled mask is n - 1 bits of one 64-bit generator state
+    sampled = ("sweep", "--sample", "1", "--seed", "1")
+    assert run(capsys, *sampled, "--n-min", "65", "--n-max", "65")[0] == 0
+    code, out, err = run(capsys, *sampled, "--n-min", "66", "--n-max", "66")
+    assert (code, out, err) == (1, "", "cayleywl: sampled mode limited to n <= 65\n")
 
 
 def test_sweep_empty_order_range(capsys):

@@ -25,6 +25,12 @@ def test_validation():
         OrderedPartition.from_labels(Z4, [0, 0, 0])
 
 
+def test_from_classes_reads_each_class_once():
+    # an iterator class is consumed by its first read; empty classes are dropped
+    p = OrderedPartition.from_classes(GroupSpec((3,)), (iter(c) for c in [[0], [2, 1], []]))
+    assert p.classes == ((0,), (1, 2))
+
+
 def test_membership_and_class_of():
     assert Z9_STABLE.membership == (0, 1, 2, 3, 4, 4, 3, 2, 1)
     assert Z9_STABLE.class_of(6) == (3, 6)

@@ -71,6 +71,9 @@ def test_sweep_instance_z9_example():
     assert record.rounds == 1
     assert record.rounds_wl2 == 1
     assert record.bound == 20 and record.d == 3
+    # the identity bit and bits above the order name no connection element
+    odd = sweep_instance(9, 0x14A | 1 | 1 << 9, cross_check=True)
+    assert odd == replace(record, set_mask="0x34b")
 
 
 def test_run_sweep_exhaustive_counts():

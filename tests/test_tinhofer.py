@@ -18,7 +18,12 @@ from cayleywl.tinhofer import (
     graph_automorphisms,
 )
 from cayleywl.wl import DiGraph, build_cayley, cr_stabilize
-from invariants import color_bijections_oracle, coloring_orbits_oracle, relabeled
+from invariants import (
+    color_bijections_oracle,
+    coloring_orbits_oracle,
+    relabeled,
+    transposed_in_neighbors,
+)
 
 Z7 = GroupSpec((7,))
 
@@ -42,6 +47,14 @@ def test_disjoint_union():
     u = disjoint_union(g, g)
     assert u.n == 14 and u.edge_count == 14
     assert u.has_edge(0, 1) and u.has_edge(7, 8) and not u.has_edge(6, 7)
+    assert u.in_neighbors == transposed_in_neighbors(u)
+    a = DiGraph.from_edges(3, [(0, 2), (1, 0), (1, 2)])
+    b = build_cayley(GroupSpec((2, 4)), (1, 6))
+    mixed = disjoint_union(a, b)
+    assert mixed.out_neighbors == a.out_neighbors + tuple(
+        tuple(3 + v for v in heads) for heads in b.out_neighbors
+    )
+    assert mixed.in_neighbors == transposed_in_neighbors(mixed)
 
 
 def test_iso_test_multiplier_pair():
@@ -259,6 +272,9 @@ _RIGID = DiGraph.from_edges(3, [(0, 2), (1, 0), (1, 2), (2, 1)])
 @example((_TWO_CYCLES, _TWO_CYCLES, (0,) * 6, (0,) * 6, [(0, 4)]))
 @example((_TWO_CYCLES, _TWO_CYCLES, (0,) * 6, (0,) * 6, [(0, 4), (1, 3)]))
 @example((_EDGELESS, _EDGELESS, (0, 0, 1, 1, 1, 2), (1, 0, 1, 2, 0, 1), [(5, 3)]))
+# color multisets differ: a color of a missing from b, and one only in b
+@example((_EDGELESS, _EDGELESS, (0, 0, 1, 1, 1, 2), (0, 0, 1, 1, 1, 1), []))
+@example((_PATH, _PATH, (0, 0, 0, 0), (0, 0, 1, 0), [(0, 0)]))
 def test_color_bijections_match_oracle(case):
     a, b, colors_a, colors_b, forced = case
     got = list(color_bijections(a, b, colors_a, colors_b, forced))

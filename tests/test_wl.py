@@ -38,6 +38,7 @@ from invariants import (
     first_occurrence,
     is_cayley_partition_oracle,
     relabeled,
+    transposed_in_neighbors,
     wl2_step_oracle,
 )
 
@@ -66,6 +67,30 @@ def test_build_cayley_empty_and_identity():
     assert build_cayley(GroupSpec((5,)), []).edge_count == 0
     with pytest.raises(ValueError):
         build_cayley(Z9, [0, 1])
+
+
+def test_from_edges_collapses_duplicates_and_keeps_isolated_vertices():
+    g = DiGraph.from_edges(6, [(3, 0), (0, 3), (3, 0), (1, 3), (0, 1), (1, 3)])
+    assert g.out_neighbors == ((1, 3), (3,), (), (0,), (), ())
+    assert g.in_neighbors == transposed_in_neighbors(g) == ((3,), (0,), (), (0, 1), (), ())
+    assert g.edge_count == 4
+
+
+@pytest.mark.parametrize(
+    "moduli, con",
+    [
+        ((5,), ()),
+        ((7,), (1, 2, 4)),
+        ((9,), (1, 3, 6, 8)),
+        ((2, 4), (1, 3, 6)),
+        ((2, 4), (1, 4, 5, 7)),
+    ],
+)
+def test_build_cayley_in_lists_match_oracle(moduli, con):
+    spec = GroupSpec(moduli)
+    g = build_cayley(spec, con)
+    assert list(map(list, g.in_neighbors)) == cayley_in_neighbors(spec, con)
+    assert g.in_neighbors == transposed_in_neighbors(g)
 
 
 def test_digraph_rejects_loops():
