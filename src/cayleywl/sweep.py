@@ -60,6 +60,10 @@ def mcg_stream(seed: int) -> Iterator[int]:
 
 def sample_connection_masks(n: int, count: int, seed: int) -> list[int]:
     """Distinct connection-set bitmasks for Z_n in draw order (see module doc)."""
+    if n < 1:
+        raise ValueError("sampled order must be >= 1")
+    if n > SAMPLE_LIMIT:
+        raise ValueError(f"sampled mode limited to n <= {SAMPLE_LIMIT}")
     space = 1 << (n - 1)
     if count >= space:
         return [m << 1 for m in range(space)]

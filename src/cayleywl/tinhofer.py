@@ -7,7 +7,8 @@ the color-preserving automorphism group and memoizes verdicts per stable
 coloring; both reductions preserve the all-leaves verdict, since relabeling
 either copy by a color-preserving automorphism maps failing runs to failing
 runs.  Without them the full pair enumeration is hopeless already for
-complete graphs of modest size.
+complete graphs of modest size.  The orbits are memoized per partition of a
+copy, which is all they depend on.
 """
 
 from __future__ import annotations
@@ -282,12 +283,15 @@ def has_tinhofer_property(g: Graph, budget: int = 1_000_000) -> TinhoferReport:
     union = disjoint_union(dg, dg)
     nodes = 0
     memo: dict[tuple[int, ...], Optional[_Failure]] = {}
-    orbit_memo: dict[tuple[int, ...], tuple[int, ...]] = {}
+    orbit_memo: dict[tuple[tuple[int, ...], ...], tuple[int, ...]] = {}
 
     def orbits(copy_colors: tuple[int, ...]) -> tuple[int, ...]:
-        if copy_colors not in orbit_memo:
-            orbit_memo[copy_colors] = coloring_orbits(dg, copy_colors)
-        return orbit_memo[copy_colors]
+        # orbits depend only on the partition (each is labeled by its least
+        # vertex), and both copies are dg, so one memo serves both
+        key = label_classes(copy_colors)
+        if key not in orbit_memo:
+            orbit_memo[key] = coloring_orbits(dg, copy_colors)
+        return orbit_memo[key]
 
     def judge(colors: tuple[int, ...]) -> Optional[_Failure]:
         """The first failure below a stable coloring, or None.  One vertex

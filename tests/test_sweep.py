@@ -10,6 +10,7 @@ from cayleywl.sweep import (
     CounterexampleMismatch,
     EngineMismatch,
     EXPECTED_COUNTEREXAMPLE_ROUNDS,
+    SAMPLE_LIMIT,
     SweepConfig,
     SweepRecord,
     compute_counterexample_rounds,
@@ -55,6 +56,18 @@ def test_sample_masks_distinct_and_seeded():
 
 def test_sample_masks_cover_small_space():
     assert sample_connection_masks(3, 100, seed=1) == [0, 2, 4, 6]
+
+
+def test_sample_masks_reject_order_below_one():
+    assert sample_connection_masks(1, 5, seed=1) == [0]
+    with pytest.raises(ValueError, match="must be >= 1"):
+        sample_connection_masks(0, 1, seed=1)
+
+
+def test_sample_masks_reject_order_above_limit():
+    assert len(sample_connection_masks(SAMPLE_LIMIT, 3, seed=1)) == 3
+    with pytest.raises(ValueError, match=f"sampled mode limited to n <= {SAMPLE_LIMIT}"):
+        sample_connection_masks(SAMPLE_LIMIT + 1, 1, seed=1)
 
 
 def test_config_validation():

@@ -11,6 +11,8 @@ from cayleywl import (
     tinhofer_iso_test,
     uniform_coloring,
 )
+from cayleywl import tinhofer
+from cayleywl.partition import label_classes
 from cayleywl.tinhofer import (
     color_bijections,
     coloring_orbits,
@@ -326,6 +328,17 @@ def individualized_cayley_graphs(draw):
     return moduli, con, marks
 
 
+def _individualized_stable(case):
+    """(dg, stable colors) of a connected case of individualized_cayley_graphs."""
+    moduli, con, marks = case
+    dg = build_cayley(GroupSpec(moduli), con)
+    assume(_connected(dg))
+    coloring = uniform_coloring(dg.n)
+    for v in marks:
+        coloring = individualize(cr_stabilize(dg, coloring).final, v)
+    return dg, cr_stabilize(dg, coloring).final.colors
+
+
 @given(individualized_cayley_graphs())
 # dense or directed cases where a check without its in-neighbor half finds a non-automorphism
 @example(((2, 8), {1, 3, 5, 7, 8, 10, 11, 12, 13, 14, 15}, [6]))
@@ -336,13 +349,7 @@ def test_coloring_orbits_match_oracle_on_cayley_graphs(case):
     the automorphism each orbit query looks for.  (The oracle places
     vertices in index order, so on disconnected or uniformly colored graphs
     it can backtrack for minutes.)"""
-    moduli, con, marks = case
-    dg = build_cayley(GroupSpec(moduli), con)
-    assume(_connected(dg))
-    coloring = uniform_coloring(dg.n)
-    for v in marks:
-        coloring = individualize(cr_stabilize(dg, coloring).final, v)
-    stable = cr_stabilize(dg, coloring).final.colors
+    dg, stable = _individualized_stable(case)
     assert coloring_orbits(dg, stable) == coloring_orbits_oracle(dg, stable)
     classes: dict[int, list[int]] = {}
     for v, c in enumerate(stable):
@@ -357,20 +364,77 @@ def test_coloring_orbits_match_oracle_on_cayley_graphs(case):
 
 
 # ---------------------------------------------------------------------------
+# orbits depend on the partition only, which keys the search's orbit memo
+# ---------------------------------------------------------------------------
+
+def _recolor(draw, colors):
+    """colors under a random injective map of the color ids."""
+    ids = sorted(set(colors))
+    images = draw(st.lists(st.integers(0, 99), min_size=len(ids), max_size=len(ids), unique=True))
+    sigma = dict(zip(ids, images))
+    return tuple(sigma[c] for c in colors)
+
+
+@given(random_digraphs(), st.data())
+def test_coloring_orbits_ignore_color_ids_on_digraphs(case, data):
+    dg, colors = case
+    recolored = _recolor(data.draw, colors)
+    want = coloring_orbits_oracle(dg, colors)
+    assert coloring_orbits(dg, recolored) == coloring_orbits(dg, colors) == want
+
+
+@given(individualized_cayley_graphs(), st.data())
+def test_coloring_orbits_ignore_color_ids_on_cayley_graphs(case, data):
+    dg, stable = _individualized_stable(case)
+    recolored = _recolor(data.draw, stable)
+    want = coloring_orbits_oracle(dg, stable)
+    assert coloring_orbits(dg, recolored) == coloring_orbits(dg, stable) == want
+
+
+# ---------------------------------------------------------------------------
 # search tree shape: status, nodes and certificate are part of the output
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize(
-    "moduli, con, status, nodes, certificate",
+    "moduli, con, status, nodes, certificate, orbit_calls",
     [
-        ((4, 4), (4, 12, 1, 3, 5, 15), "false", 11, ((0, 0), (2, 2), (8, 9))),
-        ((2, 2, 2, 2), (8, 4, 2, 1), "true", 66, None),
-        ((3, 3, 3), (9, 18, 3, 6, 1, 2), "true", 189, None),
-        ((15,), (5, 10), "true", 2744, None),
-        ((2, 8), (8, 10, 14), "true", 283, None),
+        ((4, 4), (4, 12, 1, 3, 5, 15), "false", 11, ((0, 0), (2, 2), (8, 9)), 4),
+        ((2, 2, 2, 2), (8, 4, 2, 1), "true", 66, None, 8),
+        ((3, 3, 3), (9, 18, 3, 6, 1, 2), "true", 189, None, 8),
+        ((15,), (5, 10), "true", 2744, None, 62),
+        ((2, 8), (8, 10, 14), "true", 283, None, 20),
+        ((2, 8), (2, 3, 4, 5, 6, 10, 11, 12, 13, 14), "true", 6852, None, 114),
     ],
-    ids=["counterexample", "hypercube-Z2^4", "Z3^3", "Z15:5,10", "Z2xZ8:8,10,14"],
+    ids=[
+        "counterexample",
+        "hypercube-Z2^4",
+        "Z3^3",
+        "Z15:5,10",
+        "Z2xZ8:8,10,14",
+        "Z2xZ8:2-6,10-14",
+    ],
 )
-def test_tinhofer_search_tree_is_pinned(moduli, con, status, nodes, certificate):
+def test_tinhofer_search_tree_is_pinned(
+    monkeypatch, moduli, con, status, nodes, certificate, orbit_calls
+):
+    """Status, nodes and certificate are output.  Orbits are memoized by the
+    partition of a copy, shared by both copies, so coloring_orbits runs once
+    per distinct partition of a copy at a splitting node."""
+    queried, split = [], set()
+    judge = tinhofer._judge
+
+    def counted_orbits(dg, colors):
+        queried.append(label_classes(colors))
+        return coloring_orbits(dg, colors)
+
+    def recorded_judge(dg, dh, colors):
+        kind, found = judge(dg, dh, colors)
+        if kind == "split":
+            split.update((label_classes(colors[: dg.n]), label_classes(colors[dg.n :])))
+        return kind, found
+
+    monkeypatch.setattr(tinhofer, "coloring_orbits", counted_orbits)
+    monkeypatch.setattr(tinhofer, "_judge", recorded_judge)
     report = has_tinhofer_property(CayleyGraph(GroupSpec(moduli), con))
     assert (report.status, report.nodes, report.certificate) == (status, nodes, certificate)
+    assert len(queried) == len(set(queried)) == len(split) == orbit_calls
