@@ -155,8 +155,11 @@ def rank_signatures(old: Sequence[int], gathered: Iterable[Iterable[int]]) -> tu
     Position ``i`` gets the rank of ``(old[i], sorted(gathered[i]))`` among
     the sorted distinct signatures.  Ranking sorted signatures keeps the ids
     independent of the position order, which canonical labeling relies on.
+    The signature is ranked flat, as ``(old[i], *sorted(gathered[i]))``:
+    tuples compare item by item with a proper prefix first, so the flat
+    tuples of ints sort exactly as the nested ones.
     """
-    return dense_rank([(o, tuple(sorted(g))) for o, g in zip(old, gathered)])
+    return dense_rank([(o, *sorted(g)) for o, g in zip(old, gathered)])
 
 
 def refine_to_stable(start: Any, step: Callable[[Any], Any]) -> RefinementTrace:

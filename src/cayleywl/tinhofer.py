@@ -205,10 +205,12 @@ def _judge(dg: DiGraph, dh: DiGraph, colors: Sequence[int]) -> tuple[str, Any]:
     copy, ascending, else ``("leaf", perm)`` with the color-matching
     bijection dg -> dh, or None when it does not preserve edges."""
     n = dg.n
-    count_g = Counter(colors[:n])
-    if count_g != Counter(colors[n:]):
+    sorted_g = sorted(colors[:n])
+    if sorted_g != sorted(colors[n:]):
         return "mismatch", None
-    eligible = sorted(c for c, k in count_g.items() if k >= 2)
+    # a color held twice sits next to itself in the sorted half
+    repeated = (c for c, d in zip(sorted_g, sorted_g[1:]) if c == d)
+    eligible = list(dict.fromkeys(repeated))
     if eligible:
         return "split", eligible
     where_h = {c: w for w, c in enumerate(colors[n:])}

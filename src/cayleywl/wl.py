@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
-from operator import add
+from itertools import repeat
+from operator import add, itemgetter
 from typing import Iterable, Sequence, Union
 
 from .groups import GroupSpec, connection_set, parse_group_spec
@@ -29,6 +30,16 @@ class GraphFormatError(ValueError):
     def __init__(self, message: str, position: int) -> None:
         super().__init__(f"{message} at position {position}")
         self.position = position
+
+
+def _in_gatherer(ins: Sequence[int]) -> itemgetter:
+    """Getter of the items at ``ins`` from a tuple, as a tuple.  ``itemgetter``
+    returns a bare item for one index and rejects none, so in-degrees 0 and 1
+    take the slice ``ins[0]:ins[0] + len(ins)`` instead."""
+    if len(ins) >= 2:
+        return itemgetter(*ins)
+    start = ins[0] if ins else 0
+    return itemgetter(slice(start, start + len(ins)))
 
 
 @dataclass(frozen=True)
@@ -51,18 +62,25 @@ class DiGraph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> DiGraph:
-        outs: list[set[int]] = [set() for _ in range(n)]
+        outs: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
             if u == v:
                 raise ValueError(f"loop at vertex {u} not allowed")
-            outs[u].add(v)
-        return cls.from_out_lists([sorted(s) for s in outs])
+            outs[u].append(v)
+        return cls.from_out_lists([sorted(set(heads)) for heads in outs])
 
     @cached_property
     def _out_sets(self) -> tuple[frozenset[int], ...]:
         return tuple(frozenset(s) for s in self.out_neighbors)
+
+    @cached_property
+    def _in_gatherers(self) -> tuple[itemgetter, ...]:
+        """Per vertex, a getter of its in-neighbors' colors (see
+        :func:`_in_gatherer`), so a color-refinement round gathers each
+        vertex with one call."""
+        return tuple(map(_in_gatherer, self.in_neighbors))
 
     @cached_property
     def _in_sets(self) -> tuple[frozenset[int], ...]:
@@ -289,7 +307,8 @@ def cr_step(g: Graph, c: VertexColoring) -> VertexColoring:
     if dg.n != c.n:
         raise ValueError("coloring does not match graph size")
     colors = c.colors
-    gathered = (map(colors.__getitem__, ins) for ins in dg.in_neighbors)
+    # itemgetter.__call__ rather than operator.call, which needs Python 3.11
+    gathered = map(itemgetter.__call__, dg._in_gatherers, repeat(colors))
     return VertexColoring(c.n, rank_signatures(colors, gathered))
 
 
@@ -383,9 +402,10 @@ def parse_adjacency(text: str) -> DiGraph:
     """Parse the plain edge-list format: a header line with the vertex count,
     then one ``u v`` pair per line.  Edge positions are 1-based line numbers,
     blank lines included."""
-    numbered = enumerate(map(str.strip, text.splitlines()), start=1)
-    lines = ((lineno, ln) for lineno, ln in numbered if ln)
+    numbered = enumerate(text.splitlines(), start=1)
+    lines = ((lineno, ln) for lineno, ln in numbered if ln and not ln.isspace())
     lineno, header = next(lines, (0, ""))
+    header = header.strip()
     if not header:
         raise GraphFormatError("empty adjacency input", 0)
     try:
@@ -401,7 +421,12 @@ def parse_adjacency(text: str) -> DiGraph:
             parts = ln.split()
             if len(parts) != 2:
                 raise GraphFormatError(f"expected 'u v' on line {lineno}", lineno)
-            yield _parse_int(parts[0], lineno), _parse_int(parts[1], lineno)
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                # raises, naming the first token that is not an integer
+                u, v = _parse_int(parts[0], lineno), _parse_int(parts[1], lineno)
+            yield u, v
 
     try:
         return DiGraph.from_edges(n, edges())

@@ -118,6 +118,14 @@ def cr_round_oracle(in_neighbors, colors) -> list[int]:
     return [ids[s] for s in sigs]
 
 
+def rank_signatures_oracle(old, gathered) -> tuple[int, ...]:
+    """The kernel's ranking on nested signatures: position i gets the rank
+    of ``(old[i], tuple(sorted(gathered[i])))`` among the distinct ones."""
+    sigs = [(o, tuple(sorted(g))) for o, g in zip(old, gathered)]
+    ids = {s: i for i, s in enumerate(sorted(set(sigs)))}
+    return tuple(ids[s] for s in sigs)
+
+
 def cr_stabilize_oracle(in_neighbors, colors) -> RefinementTrace:
     """Iterate :func:`cr_round_oracle` on plain in-neighbor lists until the
     class count stops rising; the final colors are a tuple."""

@@ -1,8 +1,9 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cayleywl import GroupSpec, OrderedPartition, meet
-from invariants import MIXED_SPECS, meet_oracle, random_partition
+from cayleywl.partition import rank_signatures
+from invariants import MIXED_SPECS, meet_oracle, random_partition, rank_signatures_oracle
 
 
 Z4 = GroupSpec((4,))
@@ -115,3 +116,20 @@ def test_refine_to_stable_with_custom_step():
     assert trace.rounds == 3
     assert trace.class_counts == (1, 2, 3, 4)
     assert trace.final.is_discrete()
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 2), st.lists(st.integers(0, 3), max_size=4)),
+        max_size=12,
+    )
+)
+@example([(0, [1]), (0, [1, 2]), (0, [2]), (0, [])])
+@example([(1, []), (0, []), (1, [0]), (0, [0, 0]), (0, [0])])
+def test_rank_signatures_matches_nested_ranking(rows):
+    """Flat signatures ``(o, *sorted(g))`` rank as the nested
+    ``(o, tuple(sorted(g)))``, gathered lists of mixed lengths included:
+    a proper prefix ([1] against [1, 2]) and the empty list sort first."""
+    old = [o for o, _ in rows]
+    gathered = [g for _, g in rows]
+    assert rank_signatures(old, gathered) == rank_signatures_oracle(old, gathered)

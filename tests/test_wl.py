@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -34,6 +36,7 @@ from invariants import (
     all_connection_sets,
     cayley_in_neighbors,
     check_wl_module_equivalence,
+    cr_round_oracle,
     cr_stabilize_oracle,
     first_occurrence,
     is_cayley_partition_oracle,
@@ -320,6 +323,63 @@ def colored_digraphs(draw, max_n=9):
 def test_cr_matches_oracle_on_digraphs(case):
     dg, c = case
     _assert_cr_matches_oracle(dg, dg.in_neighbors, c)
+
+
+@st.composite
+def mixed_in_degree_digraphs(draw, max_n=9):
+    """A digraph given by its in-neighbor sets, with at least one vertex of
+    in-degree 0, one of in-degree 1 and one of in-degree 2 or more, placed
+    at random positions, and a coloring with up to three colors."""
+    n = draw(st.integers(3, max_n))
+    place = draw(st.permutations(range(n)))
+    in_sets = []
+    for v in range(n):
+        lo, hi = {place[0]: (0, 0), place[1]: (1, 1), place[2]: (2, n - 1)}.get(v, (0, n - 1))
+        others = [u for u in range(n) if u != v]
+        in_sets.append(draw(st.sets(st.sampled_from(others), min_size=lo, max_size=hi)))
+    raw = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    edges = [(u, v) for v in range(n) for u in in_sets[v]]
+    return DiGraph.from_edges(n, edges), in_sets, VertexColoring(n, first_occurrence(raw))
+
+
+def _assert_cr_steps_match_oracle(dg, in_sets, c):
+    """Every round from c to the fixed point equals the naive round."""
+    while True:
+        stepped = cr_step(dg, c)
+        assert stepped.colors == tuple(cr_round_oracle(in_sets, c.colors))
+        if stepped.class_count == c.class_count:
+            return
+        c = stepped
+
+
+@given(mixed_in_degree_digraphs())
+def test_cr_step_gathers_every_in_degree(case):
+    """The per-vertex gatherers read in-degree 0, 1 and 2+ vertices alike."""
+    _assert_cr_steps_match_oracle(*case)
+
+
+def test_cr_step_gathers_on_edgeless_graph_and_directed_path():
+    edgeless = DiGraph.from_edges(5, [])
+    _assert_cr_steps_match_oracle(edgeless, [set()] * 5, VertexColoring(5, (0, 1, 0, 1, 1)))
+    path = DiGraph.from_edges(5, [(v, v + 1) for v in range(4)])
+    in_sets = [set()] + [{v} for v in range(4)]
+    _assert_cr_steps_match_oracle(path, in_sets, uniform_coloring(5))
+    assert cr_stabilize(path, uniform_coloring(5)).final.colors == (0, 1, 2, 3, 4)
+
+
+def test_digraph_equality_and_pickling_survive_its_caches():
+    """A refinement run fills the digraph's cached gatherers; the digraph
+    still equals a fresh copy and survives a pickle round trip."""
+    edges = [(0, 1), (1, 2), (0, 2), (2, 3)]  # in-degrees 0, 1, 2, 1
+    for make in (lambda: build_cayley(Z9, [1, 3, 6, 8]), lambda: DiGraph.from_edges(4, edges)):
+        dg = make()
+        trace = cr_stabilize(dg, uniform_coloring(dg.n))
+        assert "_in_gatherers" in vars(dg)
+        fresh = make()
+        assert dg == fresh and hash(dg) == hash(fresh)
+        thawed = pickle.loads(pickle.dumps(dg))
+        assert thawed == fresh
+        assert cr_stabilize(thawed, uniform_coloring(dg.n)) == trace
 
 
 @pytest.mark.parametrize("moduli", [(2, 2, 2, 2), (2, 4, 3)])
