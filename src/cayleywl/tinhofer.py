@@ -13,12 +13,12 @@ copy, which is all they depend on.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from itertools import product
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
-from .groups import GroupSpec, connection_set, is_prime
+from .groups import GroupSpec, is_prime
 from .partition import dense_rank, label_classes
 from .wl import (
     CayleyGraph,
@@ -45,12 +45,6 @@ def individualize(c: VertexColoring, *vertices: int) -> VertexColoring:
 def disjoint_union(a: DiGraph, b: DiGraph) -> DiGraph:
     shifted = [[a.n + v for v in heads] for heads in b.out_neighbors]
     return DiGraph.from_out_lists(a.out_neighbors + tuple(shifted))
-
-
-def _preserves_edges(a: DiGraph, b: DiGraph, perm: Sequence[int]) -> bool:
-    """True when perm maps edges of a exactly onto edges of b."""
-    out_b = b._out_sets
-    return all({perm[v] for v in a.out_neighbors[u]} == out_b[perm[u]] for u in range(a.n))
 
 
 # ---------------------------------------------------------------------------
@@ -198,29 +192,37 @@ def coloring_orbits(dg: DiGraph, colors: Sequence[int]) -> tuple[int, ...]:
 # Tinhofer procedure
 # ---------------------------------------------------------------------------
 
-def _judge(dg: DiGraph, dh: DiGraph, colors: Sequence[int]) -> tuple[str, Any]:
-    """Judge a stable coloring of the disjoint union of dg and dh:
+def _repeated(ascending: Sequence[int]) -> list[int]:
+    """The colors held twice or more in an ascending color list, ascending:
+    a repeated color sits next to itself."""
+    return list(dict.fromkeys(c for c, d in zip(ascending, ascending[1:]) if c == d))
+
+
+def _judge(dg: DiGraph, colors: Sequence[int]) -> tuple[str, Any]:
+    """Judge a stable coloring of the disjoint union of dg and a second copy:
     ``("mismatch", None)`` when the copies' color multisets differ,
     ``("split", colors)`` with the colors held by two or more vertices per
     copy, ascending, else ``("leaf", perm)`` with the color-matching
-    bijection dg -> dh, or None when it does not preserve edges."""
+    bijection dg -> copy.
+
+    A leaf's bijection is an isomorphism: partners share a color, so in a
+    stable coloring their in-neighbors' color multisets are equal, and with
+    every color held once per copy the bijection maps in(v) onto in(perm v).
+    """
     n = dg.n
     sorted_g = sorted(colors[:n])
     if sorted_g != sorted(colors[n:]):
         return "mismatch", None
-    # a color held twice sits next to itself in the sorted half
-    repeated = (c for c, d in zip(sorted_g, sorted_g[1:]) if c == d)
-    eligible = list(dict.fromkeys(repeated))
+    eligible = _repeated(sorted_g)
     if eligible:
         return "split", eligible
     where_h = {c: w for w, c in enumerate(colors[n:])}
-    perm = tuple(where_h[c] for c in colors[:n])
-    return "leaf", perm if _preserves_edges(dg, dh, perm) else None
+    return "leaf", tuple(where_h[c] for c in colors[:n])
 
 
 @dataclass(frozen=True)
 class IsoResult:
-    verdict: str  # "isomorphic" | "non-isomorphic" | "refuted-run"
+    verdict: str  # "isomorphic" | "non-isomorphic"
     witness: Optional[tuple[int, ...]]
     history: tuple[tuple[int, int], ...]
 
@@ -228,10 +230,11 @@ class IsoResult:
 def tinhofer_iso_test(g: Graph, h: Graph) -> IsoResult:
     """Run the individualization-refinement isomorphism procedure.
 
-    A discrete coloring yields the color-matching bijection, which is
-    verified edge-by-edge before the isomorphic verdict; a failed check is
-    reported as a refuted run.  Individualized vertices are chosen
-    canonically: least eligible color id, least vertex index in each copy.
+    A stable coloring holding every color once per copy yields the
+    color-matching bijection, an isomorphism (see :func:`_judge`), as the
+    witness; copies whose color multisets differ are non-isomorphic.
+    Individualized vertices are chosen canonically: least eligible color
+    id, least vertex index in each copy.
     """
     dg, dh = as_digraph(g), as_digraph(h)
     union = disjoint_union(dg, dh)
@@ -240,11 +243,11 @@ def tinhofer_iso_test(g: Graph, h: Graph) -> IsoResult:
     history: tuple[tuple[int, int], ...] = ()
     while True:
         stable = cr_stabilize(union, coloring).final
-        kind, found = _judge(dg, dh, stable.colors)
+        kind, found = _judge(dg, stable.colors)
         if kind == "mismatch":
             return IsoResult("non-isomorphic", None, history)
         if kind == "leaf":
-            return IsoResult("refuted-run" if found is None else "isomorphic", found, history)
+            return IsoResult("isomorphic", found, history)
         v = stable.colors.index(found[0])
         w = stable.colors.index(found[0], n) - n
         coloring = individualize(stable, v, n + w)
@@ -255,7 +258,7 @@ def tinhofer_iso_test(g: Graph, h: Graph) -> IsoResult:
 class TinhoferReport:
     status: str  # "true" | "false" | "budget-exceeded"
     certificate: Optional[tuple[tuple[int, int], ...]]
-    failure: Optional[str]  # "color-multiset-mismatch" | "non-automorphism"
+    failure: Optional[str]  # "color-multiset-mismatch"
     nodes: int
 
 
@@ -263,18 +266,12 @@ class _BudgetExceeded(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class _Failure:
-    kind: str
-    pairs: tuple[tuple[int, int], ...]
-
-
 def has_tinhofer_property(g: Graph, budget: int = 1_000_000) -> TinhoferReport:
     """Exhaustively check the individualization-refinement procedure against
     the graph itself: at every stable non-discrete coloring, every eligible
-    color class and every orbit-distinct cross-copy pair is tried; every
-    discrete leaf must induce an automorphism, and the two copies' color
-    multisets must never diverge.
+    color class and every orbit-distinct cross-copy pair is tried, and the
+    two copies' color multisets must never diverge.  Every leaf induces an
+    automorphism (see :func:`_judge`), so a divergence is the only failure.
 
     Returns the first failing choice sequence as a certificate.  The choice
     tree is explored depth-first in canonical order, so the reported
@@ -284,7 +281,8 @@ def has_tinhofer_property(g: Graph, budget: int = 1_000_000) -> TinhoferReport:
     n = dg.n
     union = disjoint_union(dg, dg)
     nodes = 0
-    memo: dict[tuple[int, ...], Optional[_Failure]] = {}
+    # a failure is its choice sequence; None when no run below fails
+    memo: dict[tuple[int, ...], Optional[tuple[tuple[int, int], ...]]] = {}
     orbit_memo: dict[tuple[tuple[int, ...], ...], tuple[int, ...]] = {}
 
     def orbits(copy_colors: tuple[int, ...]) -> tuple[int, ...]:
@@ -295,43 +293,40 @@ def has_tinhofer_property(g: Graph, budget: int = 1_000_000) -> TinhoferReport:
             orbit_memo[key] = coloring_orbits(dg, copy_colors)
         return orbit_memo[key]
 
-    def judge(colors: tuple[int, ...]) -> Optional[_Failure]:
+    def judge(stable: VertexColoring) -> Optional[tuple[tuple[int, int], ...]]:
         """The first failure below a stable coloring, or None.  One vertex
         per orbit is tried in each copy: the least, which labels its orbit."""
-        kind, found = _judge(dg, dg, colors)
-        if kind == "mismatch":
-            return _Failure("color-multiset-mismatch", ())
-        if kind == "leaf":
-            return None if found is not None else _Failure("non-automorphism", ())
+        colors = stable.colors
+        kind, found = _judge(dg, colors)
+        if kind != "split":
+            return () if kind == "mismatch" else None
         c_g, c_h = colors[:n], colors[n:]
         orbit_g, orbit_h = orbits(c_g), orbits(c_h)
-        coloring = VertexColoring(union.n, colors)
         for color in found:
             vs = [v for v in range(n) if c_g[v] == color and orbit_g[v] == v]
             ws = [w for w in range(n) if c_h[w] == color and orbit_h[w] == w]
             for v, w in product(vs, ws):
-                child = cr_stabilize(union, individualize(coloring, v, n + w)).final
-                sub = explore(child.colors)
+                sub = explore(cr_stabilize(union, individualize(stable, v, n + w)).final)
                 if sub is not None:
-                    return _Failure(sub.kind, ((v, w),) + sub.pairs)
+                    return ((v, w),) + sub
         return None
 
-    def explore(colors: tuple[int, ...]) -> Optional[_Failure]:
+    def explore(stable: VertexColoring) -> Optional[tuple[tuple[int, int], ...]]:
         nonlocal nodes
         nodes += 1
         if nodes > budget:
             raise _BudgetExceeded
-        if colors not in memo:
-            memo[colors] = judge(colors)
-        return memo[colors]
+        if stable.colors not in memo:
+            memo[stable.colors] = judge(stable)
+        return memo[stable.colors]
 
     try:
-        failure = explore(cr_stabilize(union, uniform_coloring(union.n)).final.colors)
+        failure = explore(cr_stabilize(union, uniform_coloring(union.n)).final)
     except _BudgetExceeded:
         return TinhoferReport("budget-exceeded", None, None, nodes)
     if failure is None:
         return TinhoferReport("true", None, None, nodes)
-    return TinhoferReport("false", failure.pairs, failure.kind, nodes)
+    return TinhoferReport("false", failure, "color-multiset-mismatch", nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -359,14 +354,6 @@ class CanonicalForm:
         return "".join(f"{int(bits[i:i + 4], 2):x}" for i in range(0, len(bits), 4))
 
 
-def _circulant_code(p: int, con: frozenset[int], order: Sequence[int]) -> str:
-    bits = []
-    for i in order:
-        for j in order:
-            bits.append("1" if i != j and (j - i) % p in con else "0")
-    return "".join(bits)
-
-
 def canonical_form_prime_circulant(
     spec: GroupSpec, con: Iterable[int], verify_choices: bool = False
 ) -> CanonicalForm:
@@ -382,21 +369,23 @@ def canonical_form_prime_circulant(
     if len(spec.moduli) != 1 or not is_prime(spec.order):
         raise ValueError(f"canonical labeling requires a prime-order cyclic group, got {spec}")
     p = spec.order
-    con_set = frozenset(connection_set(spec, con))
-    if not con_set or len(con_set) == p - 1:
-        order = tuple(range(p))
-        return CanonicalForm(order, _circulant_code(p, con_set, order))
-    dg = build_cayley(spec, con_set)
+    dg = build_cayley(spec, con)
+
+    def labeled(order: tuple[int, ...]) -> CanonicalForm:
+        rows = [dg._out_sets[i] for i in order]
+        code = "".join("1" if j in row else "0" for row in rows for j in order)
+        return CanonicalForm(order, code)
+
+    if dg.edge_count in (0, p * (p - 1)):
+        return labeled(tuple(range(p)))
 
     def finish(coloring: VertexColoring, depth: int) -> CanonicalForm:
         stable = cr_stabilize(dg, coloring).final
         if stable.is_discrete():
-            order = tuple(sorted(range(p), key=lambda v: stable.colors[v]))
-            return CanonicalForm(order, _circulant_code(p, con_set, order))
+            return labeled(tuple(sorted(range(p), key=lambda v: stable.colors[v])))
         if depth == 2:
             raise AssertionError("prime circulant not discrete after two individualizations")
-        counts = Counter(stable.colors)
-        color = min(c for c, k in counts.items() if k >= 2)
+        color = _repeated(sorted(stable.colors))[0]
         members = [v for v in range(p) if stable.colors[v] == color]
         form = finish(individualize(stable, members[0]), depth + 1)
         if verify_choices:

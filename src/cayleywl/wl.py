@@ -7,7 +7,7 @@ same refinement much faster, and the two are cross-validated in tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import repeat
 from operator import add, itemgetter
@@ -149,6 +149,7 @@ class PairColoring:
 
     n: int
     colors: tuple[int, ...]
+    class_count: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.colors) != self.n * self.n:
@@ -156,13 +157,10 @@ class PairColoring:
         used = set(self.colors)
         if used != set(range(len(used))):
             raise ValueError("pair color ids must be 0..k-1 with every id used")
+        object.__setattr__(self, "class_count", len(used))
 
     def color(self, i: int, j: int) -> int:
         return self.colors[i * self.n + j]
-
-    @property
-    def class_count(self) -> int:
-        return max(self.colors, default=-1) + 1
 
     def is_discrete(self) -> bool:
         return self.class_count == self.n * self.n
@@ -266,6 +264,7 @@ class VertexColoring:
 
     n: int
     colors: tuple[int, ...]
+    class_count: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.colors) != self.n:
@@ -273,10 +272,7 @@ class VertexColoring:
         used = set(self.colors)
         if used != set(range(len(used))):
             raise ValueError("vertex color ids must be 0..k-1 with every id used")
-
-    @property
-    def class_count(self) -> int:
-        return max(self.colors, default=-1) + 1
+        object.__setattr__(self, "class_count", len(used))
 
     def is_discrete(self) -> bool:
         return self.class_count == self.n

@@ -481,6 +481,18 @@ def relabeled(g: DiGraph, colors: Sequence[int], pi: Sequence[int]) -> tuple[DiG
     return DiGraph.from_edges(g.n, edges), tuple(moved)
 
 
+def is_isomorphism(a: DiGraph, b: DiGraph, perm: Sequence[int]) -> bool:
+    """True when perm is a bijection of the vertices that maps the edge set
+    of a exactly onto the edge set of b."""
+    edges_a = {(u, v) for u in range(a.n) for v in a.out_neighbors[u]}
+    edges_b = {(u, v) for u in range(b.n) for v in b.out_neighbors[u]}
+    return (
+        a.n == b.n
+        and sorted(perm) == list(range(b.n))
+        and {(perm[u], perm[v]) for u, v in edges_a} == edges_b
+    )
+
+
 # cyclic groups of order 2..16 and the non-cyclic groups of order 8 and 9
 MIXED_SPECS = [GroupSpec((n,)) for n in range(2, 17)] + [
     GroupSpec(moduli) for moduli in ((2, 4), (3, 3), (2, 2, 2))

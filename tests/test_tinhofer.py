@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -23,6 +26,7 @@ from cayleywl.wl import DiGraph, build_cayley, cr_stabilize
 from invariants import (
     color_bijections_oracle,
     coloring_orbits_oracle,
+    is_isomorphism,
     relabeled,
     transposed_in_neighbors,
 )
@@ -109,7 +113,7 @@ def test_tinhofer_property_counterexample():
     report = has_tinhofer_property(CayleyGraph(spec, con))
     assert report.status == "false"
     assert report.certificate[0] == (0, 0)
-    assert report.failure in ("color-multiset-mismatch", "non-automorphism")
+    assert report.failure == "color-multiset-mismatch"
 
 
 def test_tinhofer_budget():
@@ -312,11 +316,11 @@ def _connected(g: DiGraph) -> bool:
 
 
 @st.composite
-def individualized_cayley_graphs(draw):
-    """(moduli, con, marks) for a connected Cayley graph over Z2xZ8,
-    Z2xZ2xZ4 or Z3^3, directed or undirected, sparse or dense, with one or
-    two vertices to individualize."""
-    moduli = draw(st.sampled_from([(2, 8), (2, 2, 4), (3, 3, 3)]))
+def individualized_cayley_graphs(draw, groups=((2, 8), (2, 2, 4), (3, 3, 3))):
+    """(moduli, con, marks) for a Cayley graph over one of the groups
+    (default Z2xZ8, Z2xZ2xZ4 or Z3^3), directed or undirected, sparse or
+    dense, with one or two vertices to individualize."""
+    moduli = draw(st.sampled_from(list(groups)))
     spec = GroupSpec(moduli)
     elements = range(1, spec.order)
     con = draw(st.sets(st.sampled_from(elements), min_size=1, max_size=5))
@@ -427,8 +431,8 @@ def test_tinhofer_search_tree_is_pinned(
         queried.append(label_classes(colors))
         return coloring_orbits(dg, colors)
 
-    def recorded_judge(dg, dh, colors):
-        kind, found = judge(dg, dh, colors)
+    def recorded_judge(dg, colors):
+        kind, found = judge(dg, colors)
         if kind == "split":
             split.update((label_classes(colors[: dg.n]), label_classes(colors[dg.n :])))
         return kind, found
@@ -438,3 +442,114 @@ def test_tinhofer_search_tree_is_pinned(
     report = has_tinhofer_property(CayleyGraph(GroupSpec(moduli), con))
     assert (report.status, report.nodes, report.certificate) == (status, nodes, certificate)
     assert len(queried) == len(set(queried)) == len(split) == orbit_calls
+
+
+# ---------------------------------------------------------------------------
+# a leaf's color-matching bijection is an isomorphism without an edge check
+# ---------------------------------------------------------------------------
+
+@contextlib.contextmanager
+def _leaf_bijections():
+    """Collect every leaf bijection _judge returns inside the block."""
+    leaves = []
+    judge = tinhofer._judge
+
+    def recorded_judge(dg, colors):
+        kind, found = judge(dg, colors)
+        if kind == "leaf":
+            leaves.append(found)
+        return kind, found
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tinhofer, "_judge", recorded_judge)
+        yield leaves
+
+
+def _assert_search_leaves_are_automorphisms(dg, budget):
+    with _leaf_bijections() as leaves:
+        report = has_tinhofer_property(dg, budget=budget)
+    # a search that finds no failure judged at least one leaf
+    assert leaves or report.status != "true"
+    assert all(is_isomorphism(dg, dg, perm) for perm in leaves)
+    return report
+
+
+@given(random_digraphs(max_n=9), st.data())
+def test_leaf_bijections_are_isomorphisms_on_digraphs(case, data):
+    """Every leaf of the property search, and every witness of the iso test
+    on a relabeled copy or an unrelated digraph, passes the edge-set oracle.
+    A graph with the property is recognized in every relabeled copy."""
+    dg, _ = case
+    n = dg.n
+    report = _assert_search_leaves_are_automorphisms(dg, budget=5_000)
+    copy, _ = relabeled(dg, (0,) * n, data.draw(st.permutations(range(n))))
+    other = _draw_digraph(data.draw, n)
+    for h in (copy, other):
+        result = tinhofer_iso_test(dg, h)
+        if result.verdict == "isomorphic":
+            assert is_isomorphism(dg, h, result.witness)
+        else:
+            assert result.verdict == "non-isomorphic"
+            assert h is other or report.status != "true"
+
+
+@pytest.mark.parametrize(
+    "moduli, con",
+    [((2, 8), (8, 10, 14)), ((2, 8), (2, 3, 4, 5, 6, 10, 11, 12, 13, 14)), ((3, 3, 3), (9, 18, 3, 6, 1, 2))],
+    ids=["Z2xZ8:8,10,14", "Z2xZ8:2-6,10-14", "Z3^3"],
+)
+def test_search_leaves_are_automorphisms_on_cayley_graphs(moduli, con):
+    _assert_search_leaves_are_automorphisms(build_cayley(GroupSpec(moduli), con), budget=10_000)
+
+
+@given(individualized_cayley_graphs(groups=((2, 8), (3, 3, 3))), st.data())
+def test_leaf_bijections_are_isomorphisms_on_individualized_cayley_graphs(case, data):
+    """The canonical individualization-refinement run on the union with a
+    relabeled copy, after each mark v is individualized together with the
+    image of v or, half the time, of a drawn vertex: a leaf is an
+    isomorphism."""
+    moduli, con, marks = case
+    dg = build_cayley(GroupSpec(moduli), con)
+    n = dg.n
+    pi = data.draw(st.permutations(range(n)))
+    targets = data.draw(st.sampled_from([marks, [(v + 1) % n for v in marks]]))
+    copy, _ = relabeled(dg, (0,) * n, pi)
+    union = disjoint_union(dg, copy)
+    coloring = uniform_coloring(2 * n)
+    for v, t in zip(marks, targets):
+        coloring = individualize(cr_stabilize(union, coloring).final, v, n + pi[t])
+    while True:
+        stable = cr_stabilize(union, coloring).final
+        kind, found = tinhofer._judge(dg, stable.colors)
+        if kind != "split":
+            break
+        first = stable.colors.index(found[0])
+        coloring = individualize(stable, first, stable.colors.index(found[0], n))
+    assert kind == "mismatch" or is_isomorphism(dg, copy, found)
+
+
+# ---------------------------------------------------------------------------
+# canonical forms are output: pin every order and code on small primes
+# ---------------------------------------------------------------------------
+
+# sha256 over one "p con hex order" line per connection set, in mask order
+_CANON_DIGEST = "cccd071ee7e308c59043a06c4c387945b733ae35d47125ed96d37f45db5dbefc"
+
+
+def test_canonical_forms_are_pinned():
+    """All 5 206 connection sets of Z_p, p in {2, 3, 5, 7, 11, 13}: orders
+    and codes hash to the pinned digest, and checking every representative
+    of each chosen class gives the same forms for p <= 7."""
+    digest = hashlib.sha256()
+    count = 0
+    for p in (2, 3, 5, 7, 11, 13):
+        spec = GroupSpec((p,))
+        for mask in range(1 << (p - 1)):
+            con = tuple(s for s in range(1, p) if mask >> (s - 1) & 1)
+            form = canonical_form_prime_circulant(spec, con)
+            digest.update(f"{p} {con} {form.hex} {form.order}\n".encode())
+            count += 1
+            if p <= 7:
+                assert canonical_form_prime_circulant(spec, con, verify_choices=True) == form
+    assert count == 5206
+    assert digest.hexdigest() == _CANON_DIGEST

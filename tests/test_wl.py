@@ -382,6 +382,34 @@ def test_digraph_equality_and_pickling_survive_its_caches():
         assert cr_stabilize(thawed, uniform_coloring(dg.n)) == trace
 
 
+def test_colorings_store_their_class_count_outside_identity():
+    """class_count is counted once at construction; equality, hashing, repr
+    and pickling see only n and colors, and validation is unchanged."""
+    cases = [
+        (VertexColoring(4, (0, 1, 0, 2)), 3),
+        (VertexColoring(0, ()), 0),
+        (PairColoring(2, (0, 1, 1, 0)), 2),
+        (PairColoring(0, ()), 0),
+    ]
+    for c, k in cases:
+        assert c.class_count == k
+        assert repr(c) == f"{type(c).__name__}(n={c.n}, colors={c.colors!r})"
+        twin = type(c)(c.n, c.colors)
+        assert twin == c and hash(twin) == hash((c.n, c.colors))
+        thawed = pickle.loads(pickle.dumps(c))
+        assert thawed == c and thawed.class_count == k
+    with pytest.raises(TypeError):
+        VertexColoring(2, (0, 1), 2)
+    with pytest.raises(ValueError, match="vertex color ids must be 0..k-1 with every id used"):
+        VertexColoring(3, (0, 2, 2))
+    with pytest.raises(ValueError, match="vertex coloring needs one color per vertex"):
+        VertexColoring(3, (0, 1))
+    with pytest.raises(ValueError, match="pair color ids must be 0..k-1 with every id used"):
+        PairColoring(2, (1, 1, 1, 1))
+    with pytest.raises(ValueError, match="pair coloring needs n\\*n entries"):
+        PairColoring(2, (0, 0, 0))
+
+
 @pytest.mark.parametrize("moduli", [(2, 2, 2, 2), (2, 4, 3)])
 @given(data=st.data())
 def test_cr_matches_oracle_on_product_groups(moduli, data):
