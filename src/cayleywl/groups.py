@@ -86,10 +86,21 @@ class GroupSpec:
             return (i * m) % self.moduli[0]
         return self.index(tuple(r * m for r in self.element(i)))
 
+    @cached_property
+    def _ids(self) -> list[int]:
+        """Every element index once, so cyclic rows share their int objects."""
+        return list(self.elements())
+
+    @cached_property
+    def negatives(self) -> tuple[int, ...]:
+        """Index of the inverse of every element, in element order."""
+        return tuple(map(self.neg, self.elements()))
+
     def sum_row(self, a: int) -> list[int]:
         """Indices of ``a + b`` for every element ``b``, in element order."""
         if len(self.moduli) == 1:
-            return [*range(a, self.order), *range(a)]
+            ids = self._ids
+            return ids[a:] + ids[:a]
         return [self.add(a, b) for b in range(self.order)]
 
     @cached_property

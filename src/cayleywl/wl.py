@@ -185,6 +185,10 @@ def initial_pair_coloring(g: Graph) -> PairColoring:
     return PairColoring(n, dense_rank(raw))
 
 
+# a 2-WL round on 512 vertices would hold about 1.1 GB of signature entries
+WL2_LIMIT = 256
+
+
 def wl2_step(c: PairColoring) -> PairColoring:
     """One 2-WL round: recolor each pair (i, j) by its old color together with
     the multiset over all third vertices v of the color pair
@@ -198,7 +202,13 @@ def wl2_step(c: PairColoring) -> PairColoring:
 
 
 def wl2_stabilize(g: Graph) -> RefinementTrace:
-    """Iterate :func:`wl2_step` from the structural coloring to its fixed point."""
+    """Iterate :func:`wl2_step` from the structural coloring to its fixed point.
+
+    Graphs above :data:`WL2_LIMIT` vertices are rejected before any pair is
+    colored: a round holds n^2 * (n + 1) signature entries.
+    """
+    if g.n > WL2_LIMIT:
+        raise ValueError(f"wl2 limited to graphs of at most {WL2_LIMIT} vertices, got {g.n}")
     return refine_to_stable(initial_pair_coloring(g), wl2_step)
 
 
@@ -245,12 +255,12 @@ def initial_cayley_smodule(spec: GroupSpec, con: Iterable[int]) -> OrderedPartit
     """Group partition matching the structural pair coloring of Cay(G, con):
     identity, bidirectional, forward-only, backward-only, and non-neighbor
     classes, with unrealized classes dropped."""
-    con_set = set(connection_set(spec, con))
-    neg = {spec.neg(s) for s in con_set}
-    labels = [
-        0 if g == spec.identity else _pair_category(g in con_set, g in neg)
-        for g in spec.elements()
-    ]
+    fwd = [0] * spec.order
+    for s in connection_set(spec, con):
+        fwd[s] = 1
+    # _pair_category of (g in con, -g in con), read through the negation table
+    labels = [1 + f + 2 * fwd[h] for f, h in zip(fwd, spec.negatives)]
+    labels[spec.identity] = 0
     return OrderedPartition.from_labels(spec, labels)
 
 

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+import cayleywl.wl
 from cayleywl.cli import main
+from cayleywl.wl import WL2_LIMIT
 
 
 def run(capsys, *argv):
@@ -187,6 +189,29 @@ def test_adjacency_file_input(tmp_path, capsys):
     code, out, _ = run(capsys, "wl2", str(path))
     assert code == 0
     assert "pair-classes" in out
+
+
+def test_wl2_rejects_graphs_above_its_size_limit(tmp_path, capsys, monkeypatch):
+    """A 257-vertex input exits 1 before any pair is colored; a 256-vertex
+    one gets past the guard (stopped here at its first pair coloring)."""
+    colored = []
+
+    def stopped(g):
+        colored.append(g.n)
+        raise ValueError("stopped at the initial pair coloring")
+
+    monkeypatch.setattr(cayleywl.wl, "initial_pair_coloring", stopped)
+    assert WL2_LIMIT == 256
+    path = tmp_path / "edgeless.txt"
+    path.write_text("257\n")
+    assert run(capsys, "wl2", str(path)) == (
+        1, "", "cayleywl: wl2 limited to graphs of at most 256 vertices, got 257\n"
+    )
+    assert colored == []
+    path.write_text("256\n")
+    code, _, err = run(capsys, "wl2", str(path))
+    assert (code, colored) == (1, [256])
+    assert "stopped at the initial pair coloring" in err
 
 
 def test_counterexample_exits_two_with_diff(capsys):

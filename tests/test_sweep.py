@@ -13,6 +13,7 @@ from cayleywl.sweep import (
     SAMPLE_LIMIT,
     SweepConfig,
     SweepRecord,
+    _stable_modules,
     compute_counterexample_rounds,
     con_to_mask,
     counterexample_graph,
@@ -24,7 +25,9 @@ from cayleywl.sweep import (
     sample_connection_masks,
     sweep_instance,
 )
-from cayleywl.wl import DiGraph
+from cayleywl.group_ring import stabilize_refine
+from cayleywl.groups import GroupSpec
+from cayleywl.wl import DiGraph, initial_cayley_smodule
 
 
 def test_round_bound_values():
@@ -118,20 +121,24 @@ def orbit_count_oracle(n: int) -> int:
 
 @pytest.fixture
 def engine_calls(monkeypatch):
-    """Per-order call counts of the two engines as the sweep module calls them."""
-    calls = {"module": {}, "pair": {}}
+    """Per-order call counts of the two engines, and of the algebraic
+    engine's refinement round, as the sweep module calls them."""
+    calls = {"module": {}, "refine": {}, "pair": {}}
 
     def counted(kind, fn, order):
-        def wrapper(arg):
+        def wrapper(arg, *rest):
             calls[kind][order(arg)] = calls[kind].get(order(arg), 0) + 1
-            return fn(arg)
+            return fn(arg, *rest)
 
         return wrapper
 
     sweep_mod = cayleywl.sweep
     monkeypatch.setattr(
-        sweep_mod, "stabilize_refine",
-        counted("module", sweep_mod.stabilize_refine, lambda p: p.spec.order),
+        sweep_mod, "refine_to_stable",
+        counted("module", sweep_mod.refine_to_stable, lambda p: p.spec.order),
+    )
+    monkeypatch.setattr(
+        sweep_mod, "refine", counted("refine", sweep_mod.refine, lambda p: p.spec.order)
     )
     monkeypatch.setattr(
         sweep_mod, "wl2_stabilize", counted("pair", sweep_mod.wl2_stabilize, lambda g: g.n)
@@ -147,11 +154,34 @@ def test_run_sweep_matches_scalar_exhaustive(engine_calls, cross_check):
     records = run_sweep(SweepConfig(n_values=orders, cross_check=cross_check))
     assert engine_calls["module"] == {n: orbit_count_oracle(n) for n in orders}
     assert engine_calls["module"][12] == 312
+    assert engine_calls["refine"][12] == 388
     assert engine_calls["pair"] == ({n: 1 << (n - 1) for n in orders} if cross_check else {})
     scalar = [
         sweep_instance(n, mask, cross_check) for n in orders for mask in range(0, 1 << n, 2)
     ]
     assert records == scalar
+
+
+def test_sweep_memo_pins_refine_calls(engine_calls):
+    """Within one order ``refine`` runs once per start partition and once
+    per distinct later partition: 1 737 calls for n = 2..14, where one
+    unmemoized stabilization per representative makes 2 259."""
+    run_sweep(SweepConfig(n_values=tuple(range(2, 15))))
+    assert sum(engine_calls["refine"].values()) == 1737
+    assert engine_calls["refine"][12] == 388
+    assert engine_calls["refine"][14] == 852
+
+
+@pytest.mark.parametrize("n", [12, 13])
+def test_memoized_modules_match_plain_stabilization(n):
+    """The memoized batch gives every mask the rounds and stable partition
+    of its own unmemoized stabilization."""
+    spec = GroupSpec((n,))
+    masks = range(0, 1 << n, 2)
+    plain = [
+        stabilize_refine(initial_cayley_smodule(spec, mask_to_con(mask, n))) for mask in masks
+    ]
+    assert _stable_modules(spec, masks) == [(t.rounds, t.final.classes) for t in plain]
 
 
 @pytest.mark.parametrize("cross_check", [False, True])

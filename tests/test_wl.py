@@ -1,4 +1,5 @@
 import pickle
+import random
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -19,6 +20,7 @@ from cayleywl import (
     pair_coloring_from_smodule,
     parse_adjacency,
     parse_cayley_graph,
+    parse_group_spec,
     refine,
     refine_to_stable,
     uniform_coloring,
@@ -240,12 +242,27 @@ def test_round_trip_requires_negation_closed_classes():
 
 
 def test_initial_smodule_matches_pair_construction():
-    specs = [GroupSpec((n,)) for n in (4, 5, 6, 7)] + [GroupSpec((2, 4)), GroupSpec((3, 3))]
+    specs = [GroupSpec((n,)) for n in (4, 5, 6, 7)] + [
+        GroupSpec((2, 4)), GroupSpec((3, 3)), GroupSpec((2, 2, 2))
+    ]
     for spec in specs:
         for con in all_connection_sets(spec.order):
             direct = initial_cayley_smodule(spec, con)
             via_pairs = induced_smodule(initial_pair_coloring(build_cayley(spec, con)), spec)
             assert direct.classes == via_pairs.classes
+
+
+@pytest.mark.parametrize("group", ["Z4xZ4", "Z2xZ8", "Z2xZ2xZ4"])
+def test_initial_smodule_matches_pair_construction_on_sampled_sets(group):
+    """The same check on 300 seeded connection sets of each order-16
+    product group, where -g is not n - g."""
+    spec = parse_group_spec(group)
+    rng = random.Random(group)
+    for _ in range(300):
+        con = tuple(s for s in range(1, spec.order) if rng.random() < 0.5)
+        direct = initial_cayley_smodule(spec, con)
+        via_pairs = induced_smodule(initial_pair_coloring(build_cayley(spec, con)), spec)
+        assert direct.classes == via_pairs.classes, (group, con)
 
 
 def test_wl_module_equivalence_small():
