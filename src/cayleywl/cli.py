@@ -32,11 +32,11 @@ from .wl import (
     initial_cayley_smodule,
     parse_adjacency,
     parse_cayley_graph,
+    parse_vertex,
     cr_stabilize,
     uniform_coloring,
     wl2_stabilize,
 )
-from .wl import _residue_index, _split_tuples
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,25 +60,6 @@ def _emit(text: str, out: Optional[str]) -> None:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
-
-
-def _parse_vertex(token: str, g: Graph) -> int:
-    if token.startswith("("):
-        if not isinstance(g, CayleyGraph):
-            raise GraphFormatError("residue tuples need a Cayley graph input", 0)
-        tuples = _split_tuples(token, 0)
-        residues, pos = next(tuples)
-        extra = next(tuples, None)
-        if extra is not None:
-            raise GraphFormatError("expected one residue tuple", extra[1])
-        return _residue_index(g.spec, residues, pos)
-    try:
-        v = int(token)
-    except ValueError:
-        raise GraphFormatError(f"expected a vertex index, got {token!r}", 0) from None
-    if not 0 <= v < g.n:
-        raise GraphFormatError(f"vertex {v} out of range for {g.n} vertices", 0)
-    return v
 
 
 def _rounds_text(fmt: str, rounds: int, key: str, value: object, shown: object) -> str:
@@ -108,7 +89,7 @@ def _cmd_cr(args: argparse.Namespace) -> str:
     n = g.n
     coloring = uniform_coloring(n)
     for token in args.individualize or []:
-        coloring = individualize(coloring, _parse_vertex(token, g))
+        coloring = individualize(coloring, parse_vertex(token, g))
     trace = cr_stabilize(g, coloring)
     classes = trace.final.classes()
     return _rounds_text(args.format, trace.rounds, "classes", classes, classes_text(classes))
@@ -221,12 +202,10 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
 
 
 def _cmd_counterexample(args: argparse.Namespace) -> str:
-    report = reproduce_counterexample(budget=_node_budget(args))
+    _node_budget(args)  # validated, though the round check stops before any search
     lines = ["round class lists (element indices, index = 4a+b):"]
-    for i, text in enumerate(report.computed_rounds):
+    for i, text in enumerate(reproduce_counterexample()):
         lines.append(f"  round {i}: {text}")
-    lines.append(f"tinhofer property: {report.tinhofer.status}")
-    lines.append(f"certificate: {list(report.tinhofer.certificate or ())}")
     return "\n".join(lines) + "\n"
 
 

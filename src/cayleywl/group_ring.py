@@ -8,7 +8,7 @@ produce coefficients in ``[0, |G|]``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .groups import GroupSpec, unit_multipliers
 from .partition import OrderedPartition, RefinementTrace, rank_signatures, refine_to_stable
@@ -42,14 +42,10 @@ def simple_quantity(spec: GroupSpec, elements: Iterable[int]) -> GroupRingElemen
     return GroupRingElement(spec, tuple(coeffs))
 
 
-def _sum_row(spec: GroupSpec, a: int) -> Sequence[int]:
-    """Row ``a`` of the addition table, computed directly for groups too
-    large to have one."""
-    return spec.addition_table[a] if spec.order <= 4096 else spec.sum_row(a)
-
-
 def multiply(u: GroupRingElement, v: GroupRingElement) -> GroupRingElement:
-    """Exact convolution over the group; commutative since the group is abelian."""
+    """Exact convolution over the group; commutative since the group is abelian.
+    Sums are read per non-zero coefficient of ``u``, so sparse products work
+    on groups too large for an addition table."""
     if u.spec != v.spec:
         raise ValueError("group ring elements over different groups")
     spec = u.spec
@@ -57,7 +53,7 @@ def multiply(u: GroupRingElement, v: GroupRingElement) -> GroupRingElement:
     for a, ca in enumerate(u.coeffs):
         if ca == 0:
             continue
-        row = _sum_row(spec, a)
+        row = spec.sum_row(a)
         for b, cb in enumerate(v.coeffs):
             if cb:
                 out[row[b]] += ca * cb
@@ -94,15 +90,17 @@ def refine(partition: OrderedPartition) -> OrderedPartition:
 
     The coefficient of g in ``C_i * C_j`` counts the pairs (a, b) with
     a + b = g, a in class i and b in class j, so each g gathers the class
-    pair of every (a, b) summing to it.
+    pair of every (a, b) summing to it.  A round gathers |G|^2 pairs from
+    the addition table, so groups above ``groups.ADDITION_TABLE_LIMIT`` are
+    rejected before any row is built.
     """
     spec = partition.spec
     labels = partition.membership
     r = partition.class_count
     gathered: list[list[int]] = [[] for _ in range(spec.order)]
-    for a, la in enumerate(labels):
+    for row, la in zip(spec.addition_table, labels):
         la *= r
-        for g, lb in zip(_sum_row(spec, a), labels):
+        for g, lb in zip(row, labels):
             gathered[g].append(la + lb)
     return OrderedPartition.from_labels(spec, rank_signatures(labels, gathered))
 

@@ -18,6 +18,10 @@ GroupElement = tuple[int, ...]
 
 _SPEC_RE = re.compile(r"z(\d+)((?:xz\d+)*)", re.IGNORECASE)
 
+# a group-ring refinement round gathers one entry per table cell: 4096^2 =
+# 2^24, as many as a 2-WL round at its limit of 256 vertices (256^3)
+ADDITION_TABLE_LIMIT = 4096
+
 
 @dataclass(frozen=True)
 class GroupSpec:
@@ -105,9 +109,13 @@ class GroupSpec:
 
     @cached_property
     def addition_table(self) -> tuple[tuple[int, ...], ...]:
-        """Dense |G| x |G| table of :meth:`add`; only for small groups."""
-        if self.order > 4096:
-            raise ValueError("addition table only materialized for order <= 4096")
+        """Dense |G| x |G| table of :meth:`add`, for groups of order at most
+        :data:`ADDITION_TABLE_LIMIT`; larger groups raise before any row is built."""
+        if self.order > ADDITION_TABLE_LIMIT:
+            raise ValueError(
+                f"addition table limited to groups of order at most "
+                f"{ADDITION_TABLE_LIMIT}, got {self.order}"
+            )
         return tuple(tuple(self.sum_row(a)) for a in range(self.order))
 
     def __str__(self) -> str:

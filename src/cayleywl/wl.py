@@ -258,8 +258,8 @@ def initial_cayley_smodule(spec: GroupSpec, con: Iterable[int]) -> OrderedPartit
     fwd = [0] * spec.order
     for s in connection_set(spec, con):
         fwd[s] = 1
-    # _pair_category of (g in con, -g in con), read through the negation table
-    labels = [1 + f + 2 * fwd[h] for f, h in zip(fwd, spec.negatives)]
+    # (g in con, -g in con), read through the negation table
+    labels = [_pair_category(f, fwd[h]) for f, h in zip(fwd, spec.negatives)]
     labels[spec.identity] = 0
     return OrderedPartition.from_labels(spec, labels)
 
@@ -367,6 +367,26 @@ def _residue_index(spec: GroupSpec, residues: tuple[int, ...], pos: int) -> int:
         if not 0 <= r < modulus:
             raise GraphFormatError(f"residue {r} out of range", pos)
     return spec.index(residues)
+
+
+def parse_vertex(token: str, g: Graph) -> int:
+    """A vertex index, or one canonical residue tuple of a Cayley graph."""
+    if token.startswith("("):
+        if not isinstance(g, CayleyGraph):
+            raise GraphFormatError("residue tuples need a Cayley graph input", 0)
+        tuples = _split_tuples(token, 0)
+        residues, pos = next(tuples)
+        extra = next(tuples, None)
+        if extra is not None:
+            raise GraphFormatError("expected one residue tuple", extra[1])
+        return _residue_index(g.spec, residues, pos)
+    try:
+        v = int(token)
+    except ValueError:
+        raise GraphFormatError(f"expected a vertex index, got {token!r}", 0) from None
+    if not 0 <= v < g.n:
+        raise GraphFormatError(f"vertex {v} out of range for {g.n} vertices", 0)
+    return v
 
 
 def _split_commas(body: str, offset: int):

@@ -1,9 +1,12 @@
+import hashlib
 import json
+from itertools import combinations
 
 import pytest
 
 import cayleywl.wl
-from cayleywl.cli import main
+from cayleywl.cli import build_parser, main
+from cayleywl.groups import GroupSpec
 from cayleywl.wl import WL2_LIMIT
 
 
@@ -50,6 +53,47 @@ def test_smodule(capsys):
         "rounds: 1",
         "stable: 0|1,8|2,7|3,6|4,5",
     ]
+
+
+def _smodule_descriptors():
+    """Every connection set of Z_n for n <= 10, Z2xZ4 and Z3xZ3."""
+    for moduli in [(n,) for n in range(2, 11)] + [(2, 4), (3, 3)]:
+        spec = GroupSpec(moduli)
+        if len(moduli) == 1:
+            names = [str(g) for g in range(spec.order)]
+        else:
+            names = [f"({','.join(map(str, spec.element(g)))})" for g in range(spec.order)]
+        for r in range(spec.order):
+            for con in combinations(names[1:], r):
+                yield f"{spec}:{','.join(con)}"
+
+
+# sha256 of the text, json and csv output over _smodule_descriptors
+_SMODULE_DIGEST = "80df5730e32c60e52f053a48ec5f935fb97a918741ece9478e5b0b0bc6042f41"
+
+
+def test_smodule_output_is_pinned():
+    parser = build_parser()
+    digest = hashlib.sha256()
+    count = 0
+    for graph in _smodule_descriptors():
+        for fmt in ("text", "json", "csv"):
+            args = parser.parse_args(["smodule", graph, "--format", fmt])
+            digest.update(f"{graph} {fmt}\n{args.func(args)}".encode())
+        count += 1
+    assert count == 1022 + 128 + 256
+    assert digest.hexdigest() == _SMODULE_DIGEST
+
+
+@pytest.mark.parametrize("graph, order", [("Z4097:1", 4097), ("Z65xZ64:(0,1)", 4160)])
+def test_smodule_rejects_groups_above_the_table_limit(capsys, monkeypatch, graph, order):
+    # one refinement round gathers order^2 pairs; no sum row may be built
+    def no_rows(spec, a):
+        raise AssertionError("sum row built above the table limit")
+
+    monkeypatch.setattr(GroupSpec, "sum_row", no_rows)
+    message = f"cayleywl: addition table limited to groups of order at most 4096, got {order}\n"
+    assert run(capsys, "smodule", graph) == (1, "", message)
 
 
 def test_spectrum_csv(capsys):

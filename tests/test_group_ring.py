@@ -199,6 +199,12 @@ def test_sum_rows_above_table_limit():
     assert refine_con(part, (1, 4098)).to_text().startswith("0|1,4098|2,")
 
 
+def test_refine_rejects_groups_above_the_table_limit():
+    part = OrderedPartition.from_classes(GroupSpec((4097,)), [[0], range(1, 4097)])
+    with pytest.raises(ValueError, match="at most 4096, got 4097"):
+        refine(part)
+
+
 def test_refine_con_empty_set():
     p = OrderedPartition.from_classes(Z7, [[0], [1, 2, 3, 4, 5, 6]])
     assert refine_con(p, ()).classes == p.classes

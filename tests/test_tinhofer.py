@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import random
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -93,6 +94,46 @@ def test_iso_test_degree_split():
 
 def test_iso_test_size_mismatch():
     assert tinhofer_iso_test(CayleyGraph(Z7, (1,)), CayleyGraph(GroupSpec((5,)), (1,))).verdict == "non-isomorphic"
+
+
+def _iso_pairs():
+    """All 4 096 ordered pairs of Z7 connection sets, then 300 seeded pairs of
+    digraphs on 1..9 vertices: a relabeled copy, or an unrelated graph with
+    as many edges."""
+    sets = [tuple(s for s in range(1, 7) if mask >> (s - 1) & 1) for mask in range(64)]
+    for a in sets:
+        for b in sets:
+            yield CayleyGraph(Z7, a), CayleyGraph(Z7, b)
+    rng = random.Random(8)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        arcs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        m = rng.randint(0, len(arcs))
+        g = DiGraph.from_edges(n, rng.sample(arcs, m))
+        if rng.random() < 0.5:
+            pi = list(range(n))
+            rng.shuffle(pi)
+            h, _ = relabeled(g, [0] * n, pi)
+        else:
+            h = DiGraph.from_edges(n, rng.sample(arcs, m))
+        yield g, h
+
+
+# sha256 of every (verdict, witness, history) over _iso_pairs
+_ISO_DIGEST = "0c49e8829e1e55f61279a2839541a0f9b4d2771aa31e4b534bff5aeef2fd6806"
+
+
+def test_iso_test_runs_are_pinned():
+    """Verdict, witness and the individualized pairs are output: the digest
+    fixes the least-color, least-vertex choice at every step."""
+    digest = hashlib.sha256()
+    count = 0
+    for g, h in _iso_pairs():
+        result = tinhofer_iso_test(g, h)
+        digest.update(f"{result.verdict} {result.witness} {result.history}\n".encode())
+        count += 1
+    assert count == 4396
+    assert digest.hexdigest() == _ISO_DIGEST
 
 
 def test_tinhofer_property_complete_graph():
