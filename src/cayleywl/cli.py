@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage/input error, 2 assertion or bound violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -209,6 +210,7 @@ def _cmd_counterexample(args: argparse.Namespace) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.cache  # parse_args keeps no state in the parser, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cayleywl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

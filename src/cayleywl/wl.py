@@ -54,22 +54,32 @@ class DiGraph:
     def from_out_lists(cls, outs: Sequence[Sequence[int]]) -> DiGraph:
         """Digraph from ascending, duplicate-free out-lists of in-range heads.
         The in-lists come out ascending because tails are visited in order."""
-        ins: list[list[int]] = [[] for _ in outs]
+        ins: list = [[] for _ in outs]
         for u, heads in enumerate(outs):
             for v in heads:
                 ins[v].append(u)
-        return cls(len(outs), tuple(map(tuple, outs)), tuple(map(tuple, ins)))
+        # each in-list is freed as soon as its tuple exists
+        for v, tails in enumerate(ins):
+            ins[v] = tuple(tails)
+        return cls(len(outs), tuple(map(tuple, outs)), tuple(ins))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> DiGraph:
-        outs: list[list[int]] = [[] for _ in range(n)]
+        """Digraph from in-range, loop-free edges, duplicates dropped.  Every
+        head is stored as the one int object of its vertex, not as the int
+        the edge carried, as :meth:`GroupSpec.sum_row` rows share theirs."""
+        ids = list(range(n))
+        outs: list[list[int]] = [[] for _ in ids]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
             if u == v:
                 raise ValueError(f"loop at vertex {u} not allowed")
-            outs[u].append(v)
-        return cls.from_out_lists([sorted(set(heads)) for heads in outs])
+            outs[u].append(ids[v])
+        # in place, so each edge list is freed as its sorted list replaces it
+        for u, heads in enumerate(outs):
+            outs[u] = sorted(set(heads))
+        return cls.from_out_lists(outs)
 
     @cached_property
     def _out_sets(self) -> tuple[frozenset[int], ...]:
@@ -424,11 +434,27 @@ def _split_tuples(body: str, offset: int):
         i = close + 1
 
 
+# parse_adjacency splits its text into lines about this many characters at a time
+_LINE_CHUNK = 1 << 16
+
+
+def _text_lines(text: str):
+    r"""The lines of ``text.splitlines()``, split one chunk of at least
+    :data:`_LINE_CHUNK` characters at a time, so only one chunk's line
+    strings are alive at once.  A chunk ends just after a ``"\n"``, which
+    ends a line under every ``splitlines`` rule, alone or after ``"\r"``."""
+    start, length = 0, len(text)
+    while start < length:
+        end = text.find("\n", start + _LINE_CHUNK - 1) + 1 or length
+        yield from text[start:end].splitlines()
+        start = end
+
+
 def parse_adjacency(text: str) -> DiGraph:
     """Parse the plain edge-list format: a header line with the vertex count,
     then one ``u v`` pair per line.  Edge positions are 1-based line numbers,
     blank lines included."""
-    numbered = enumerate(text.splitlines(), start=1)
+    numbered = enumerate(_text_lines(text), start=1)
     lines = ((lineno, ln) for lineno, ln in numbered if ln and not ln.isspace())
     lineno, header = next(lines, (0, ""))
     header = header.strip()

@@ -165,6 +165,39 @@ def transposed_in_neighbors(g: DiGraph) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def ladder_connection_set(p: int) -> tuple[int, ...]:
+    """Ten elements: a five-step geometric ladder and its negatives, so the
+    graph mixes fast and the round count stays nearly size-independent."""
+    base = p ** 0.2
+    ladder: list[int] = []
+    for k in range(5):
+        v = max(1, round(base ** (k + 1))) % p
+        while v == 0 or v in ladder or (p - v) in ladder:
+            v = (v + 1) % p
+        ladder.append(v)
+    con = sorted(set(ladder) | {p - v for v in ladder})
+    assert len(con) == 10
+    return tuple(con)
+
+
+def adjacency_error_line_oracle(text: str) -> Optional[int]:
+    """The line of the first bad edge line of an adjacency text whose header
+    is a vertex count, numbered over ``enumerate(text.splitlines(), 1)``
+    with blank lines included; None when every edge line is good.  A line
+    is bad when it is not two integers, names a vertex out of range or is a
+    loop."""
+    lines = [(i, ln.split()) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    n = int(lines[0][1][0])
+    for i, parts in lines[1:]:
+        try:
+            u, v = map(int, parts)
+        except ValueError:
+            return i
+        if not (0 <= u < n and 0 <= v < n) or u == v:
+            return i
+    return None
+
+
 def wl2_step_oracle(c: PairColoring) -> PairColoring:
     """One 2-WL round: recolor each pair by its old color together with the
     multiset over all third vertices v of the color pair (left leg, right leg).

@@ -308,25 +308,10 @@ def test_c08_canonical_labeling_vs_oracle():
     )
 
 
-def _perf_connection_set(p: int) -> tuple[int, ...]:
-    """Ten elements: a five-step geometric ladder and its negatives, so the
-    graph mixes fast and the round count stays nearly size-independent."""
-    base = p ** 0.2
-    ladder: list[int] = []
-    for k in range(5):
-        v = max(1, round(base ** (k + 1))) % p
-        while v == 0 or v in ladder or (p - v) in ladder:
-            v = (v + 1) % p
-        ladder.append(v)
-    con = sorted(set(ladder) | {p - v for v in ladder})
-    assert len(con) == 10
-    return tuple(con)
-
-
 def test_c09_refinement_performance():
     timings = {}
     for p in (10007, 20011, 40009):
-        cg = CayleyGraph(GroupSpec((p,)), _perf_connection_set(p))
+        cg = CayleyGraph(GroupSpec((p,)), invariants.ladder_connection_set(p))
         coloring = individualize(uniform_coloring(p), 0)
         best = None
         for _ in range(3):

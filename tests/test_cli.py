@@ -72,6 +72,10 @@ def _smodule_descriptors():
 _SMODULE_DIGEST = "80df5730e32c60e52f053a48ec5f935fb97a918741ece9478e5b0b0bc6042f41"
 
 
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
 def test_smodule_output_is_pinned():
     parser = build_parser()
     digest = hashlib.sha256()

@@ -1,5 +1,7 @@
+import gc
 import pickle
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -27,6 +29,7 @@ from cayleywl import (
     wl2_stabilize,
     wl2_step,
 )
+import cayleywl.wl
 from cayleywl.wl import (
     PairColoring,
     VertexColoring,
@@ -35,6 +38,7 @@ from cayleywl.wl import (
 )
 from cayleywl.tinhofer import individualize
 from invariants import (
+    adjacency_error_line_oracle,
     all_connection_sets,
     cayley_in_neighbors,
     check_wl_module_equivalence,
@@ -42,6 +46,7 @@ from invariants import (
     cr_stabilize_oracle,
     first_occurrence,
     is_cayley_partition_oracle,
+    ladder_connection_set,
     relabeled,
     transposed_in_neighbors,
     wl2_step_oracle,
@@ -571,3 +576,85 @@ def test_parse_adjacency():
         parse_adjacency("")
     with pytest.raises(GraphFormatError):
         parse_adjacency("3\n0 1 2\n")
+
+
+# every line boundary of str.splitlines
+LINE_BREAKS = ("\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+LINE_BODIES = ("", "", " ", "\t ", "0 1", "12  345", "x", "\r\n")
+
+
+def _messy_text(rng: random.Random) -> str:
+    """Lines of edge pairs, junk, blank and whitespace-only bodies joined by
+    every kind of line break, with or without a last one."""
+    parts = []
+    for _ in range(rng.randrange(12)):
+        parts.append(rng.choice(LINE_BODIES))
+        parts.append(rng.choice(LINE_BREAKS))
+    if rng.random() < 0.5:
+        parts.append(rng.choice(LINE_BODIES))
+    return "".join(parts)
+
+
+def test_chunked_lines_match_splitlines(monkeypatch):
+    r"""The chunked reader yields text.splitlines() at every chunk size from
+    1 to 8 characters, including where a chunk's least end falls on the
+    "\r" of a "\r\n"."""
+    rng = random.Random(15)
+    texts = [_messy_text(rng) for _ in range(2000)]
+    # "\r" at every offset 0..9, so with each chunk size some chunk's least
+    # end is the "\r" of a "\r\n" pair
+    texts += ["0" * k + "\r\n" + "1 2\r\n\r\n" * 3 for k in range(10)]
+    texts += ["", "\n", "\r\n", "\r", "a", "\n\n\r\r\n\n"]
+    for chunk in range(1, 9):
+        monkeypatch.setattr(cayleywl.wl, "_LINE_CHUNK", chunk)
+        for text in texts:
+            assert list(cayleywl.wl._text_lines(text)) == text.splitlines(), (chunk, text)
+
+
+@pytest.mark.parametrize("bad", ["0 x", "0 1 2", "0 7", "3 3", "-1 0"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n", None])
+def test_adjacency_error_position_past_the_first_chunk(bad, newline):
+    """A bad edge line on line 70 001, far past the first 64 KiB chunk, is
+    reported at the line the splitlines oracle counts; blank and
+    whitespace-only lines count as lines.  Lines end in "\n", in "\r\n",
+    or (None) in a random line break each."""
+    rng = random.Random(70001)
+    lines = ["7"]
+    while len(lines) < 70000:
+        lines.append(rng.choice(["0 1", "2 3", "6 5", "", " \t", "4  0"]))
+    lines += [bad, "1 2"]
+    text = "".join(ln + (newline or rng.choice(LINE_BREAKS)) for ln in lines)
+    expected = adjacency_error_line_oracle(text)
+    # a random "\r" break and an empty line's "\n" break merge into one "\r\n"
+    assert expected == 70001 or newline is None and 60000 < expected < 70001
+    with pytest.raises(GraphFormatError) as err:
+        parse_adjacency(text)
+    assert err.value.position == expected
+    assert str(err.value).endswith(f" at position {expected}")
+
+
+def _traced(build):
+    """``build()`` with the bytes it keeps alive and its peak, under tracemalloc."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        graph = build()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return graph, retained - base, peak - base
+
+
+def test_adjacency_file_costs_what_its_descriptor_does():
+    """The p = 10007 ladder read from its edge list is the descriptor's
+    graph, kept in as many bytes, and parsing peaks at most 1.3x as high
+    as building it from the descriptor."""
+    p = 10007
+    con = ladder_connection_set(p)
+    text = f"{p}\n" + "".join(f"{h} {(h + s) % p}\n" for s in con for h in range(p))
+    parsed, parse_retained, parse_peak = _traced(lambda: parse_adjacency(text))
+    built, build_retained, build_peak = _traced(lambda: build_cayley(GroupSpec((p,)), con))
+    assert parsed == built
+    assert parse_retained <= 1.05 * build_retained, (parse_retained, build_retained)
+    assert parse_peak <= 1.3 * build_peak, (parse_peak, build_peak)
