@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Hashable, Iterable, Sequence
+from typing import Any, Callable, Hashable, Iterable, Optional, Sequence
 
 from .groups import GroupSpec
 
@@ -149,7 +149,11 @@ class RefinementTrace:
     final: Any
 
 
-def rank_signatures(old: Sequence[int], gathered: Iterable[Iterable[int]]) -> tuple[int, ...]:
+def rank_signatures(
+    old: Sequence[int],
+    gathered: Iterable[Iterable[int]],
+    ranked: Optional[list[list[tuple[int, ...]]]] = None,
+) -> tuple[int, ...]:
     """The refinement kernel: one new color per position.
 
     Position ``i`` gets the rank of ``(old[i], sorted(gathered[i]))`` among
@@ -157,9 +161,15 @@ def rank_signatures(old: Sequence[int], gathered: Iterable[Iterable[int]]) -> tu
     independent of the position order, which canonical labeling relies on.
     The signature is ranked flat, as ``(old[i], *sorted(gathered[i]))``:
     tuples compare item by item with a proper prefix first, so the flat
-    tuples of ints sort exactly as the nested ones.
+    tuples of ints sort exactly as the nested ones.  When ``ranked`` is
+    given, the sorted distinct signatures are appended to it as one list.
     """
-    return dense_rank([(o, *sorted(g)) for o, g in zip(old, gathered)])
+    signatures = [(o, *sorted(g)) for o, g in zip(old, gathered)]
+    distinct = sorted(set(signatures))
+    if ranked is not None:
+        ranked.append(distinct)
+    ids = {s: i for i, s in enumerate(distinct)}
+    return tuple(map(ids.__getitem__, signatures))
 
 
 def refine_to_stable(start: Any, step: Callable[[Any], Any]) -> RefinementTrace:

@@ -19,7 +19,7 @@ from itertools import product
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from .groups import GroupSpec, is_prime
-from .partition import dense_rank, label_classes
+from .partition import dense_rank, label_classes, rank_signatures
 from .wl import (
     CayleyGraph,
     DiGraph,
@@ -266,6 +266,41 @@ class _BudgetExceeded(Exception):
     pass
 
 
+# a copy run: final colors, and the sorted distinct signatures of each round
+_CopyRun = tuple[tuple[int, ...], list[list[tuple[int, ...]]]]
+
+
+def _refine_copy(dg: DiGraph, colors: tuple[int, ...], v: int) -> _CopyRun:
+    """Color refinement of one copy of dg ⊎ dg from its half ``colors`` of a
+    stable union coloring, with v individualized: the copy's final colors and
+    its certificate, the sorted distinct signatures of every round.
+
+    Individualizing v in one copy and a partner in the other, the union
+    ranks each round's signatures among both copies'.  While the copies'
+    signature sets agree round by round, the union's ids are each copy's
+    ids, and both copies stop in the same round, so equal certificates give
+    the union's stable coloring as the two final colorings concatenated.
+    Otherwise some color is held in one copy only, and the union run ends in
+    a color-multiset mismatch.  The union is never discrete, so its run
+    always confirms its fixed point; the certificate holds the confirming
+    round even when the copy is discrete.
+
+    ``colors`` holds every id below its maximum, and v's color is held by
+    another vertex too, as at a splitting node.  So the fresh id
+    ``max + 1`` individualizes v as :func:`individualize` would, with no
+    ids to re-rank.
+    """
+    count = max(colors) + 1
+    colors = colors[:v] + (count,) + colors[v + 1 :]
+    count += 1
+    certificate: list[list[tuple[int, ...]]] = []
+    while True:
+        refined = rank_signatures(colors, dg.in_colors(colors), certificate)
+        if len(certificate[-1]) == count:
+            return colors, certificate
+        colors, count = refined, len(certificate[-1])
+
+
 def has_tinhofer_property(g: Graph, budget: int = 1_000_000) -> TinhoferReport:
     """Exhaustively check the individualization-refinement procedure against
     the graph itself: at every stable non-discrete coloring, every eligible
@@ -275,53 +310,70 @@ def has_tinhofer_property(g: Graph, budget: int = 1_000_000) -> TinhoferReport:
 
     Returns the first failing choice sequence as a certificate.  The choice
     tree is explored depth-first in canonical order, so the reported
-    certificate is the least one among orbit representatives.
+    certificate is the least one among orbit representatives.  A child is
+    refined copy by copy (see :func:`_refine_copy`), each copy once per
+    individualized vertex at its node.
     """
     dg = as_digraph(g)
     n = dg.n
-    union = disjoint_union(dg, dg)
     nodes = 0
     # a failure is its choice sequence; None when no run below fails
     memo: dict[tuple[int, ...], Optional[tuple[tuple[int, int], ...]]] = {}
-    orbit_memo: dict[tuple[tuple[int, ...], ...], tuple[int, ...]] = {}
+    orbit_memo: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def orbits(copy_colors: tuple[int, ...]) -> tuple[int, ...]:
         # orbits depend only on the partition (each is labeled by its least
-        # vertex), and both copies are dg, so one memo serves both
-        key = label_classes(copy_colors)
+        # vertex), keyed by the colors relabeled in first-occurrence order;
+        # both copies are dg, so one memo serves both
+        first = dict(zip(dict.fromkeys(copy_colors), range(n)))
+        key = tuple(map(first.__getitem__, copy_colors))
         if key not in orbit_memo:
             orbit_memo[key] = coloring_orbits(dg, copy_colors)
         return orbit_memo[key]
 
-    def judge(stable: VertexColoring) -> Optional[tuple[tuple[int, int], ...]]:
-        """The first failure below a stable coloring, or None.  One vertex
-        per orbit is tried in each copy: the least, which labels its orbit."""
-        colors = stable.colors
+    def judge(colors: tuple[int, ...]) -> Optional[tuple[tuple[int, int], ...]]:
+        """The first failure below a stable union coloring, or None.  One
+        vertex per orbit is tried in each copy: the least, which labels its
+        orbit."""
         kind, found = _judge(dg, colors)
         if kind != "split":
             return () if kind == "mismatch" else None
         c_g, c_h = colors[:n], colors[n:]
         orbit_g, orbit_h = orbits(c_g), orbits(c_h)
+        # copy runs by individualized vertex, shared when the halves agree
+        runs_g: dict[int, _CopyRun] = {}
+        runs_h = runs_g if c_g == c_h else {}
         for color in found:
             vs = [v for v in range(n) if c_g[v] == color and orbit_g[v] == v]
             ws = [w for w in range(n) if c_h[w] == color and orbit_h[w] == w]
             for v, w in product(vs, ws):
-                sub = explore(cr_stabilize(union, individualize(stable, v, n + w)).final)
+                if v not in runs_g:
+                    runs_g[v] = _refine_copy(dg, c_g, v)
+                if w not in runs_h:
+                    runs_h[w] = _refine_copy(dg, c_h, w)
+                final_g, certificate_g = runs_g[v]
+                final_h, certificate_h = runs_h[w]
+                sub = explore(final_g + final_h if certificate_g == certificate_h else None)
                 if sub is not None:
                     return ((v, w),) + sub
         return None
 
-    def explore(stable: VertexColoring) -> Optional[tuple[tuple[int, int], ...]]:
+    def explore(colors: Optional[tuple[int, ...]]) -> Optional[tuple[tuple[int, int], ...]]:
+        """Visit a stable union coloring; None stands for a child whose copy
+        certificates differ, a color-multiset mismatch."""
         nonlocal nodes
         nodes += 1
         if nodes > budget:
             raise _BudgetExceeded
-        if stable.colors not in memo:
-            memo[stable.colors] = judge(stable)
-        return memo[stable.colors]
+        if colors is None:
+            return ()
+        if colors not in memo:
+            memo[colors] = judge(colors)
+        return memo[colors]
 
     try:
-        failure = explore(cr_stabilize(union, uniform_coloring(union.n)).final)
+        root = cr_stabilize(disjoint_union(dg, dg), uniform_coloring(2 * n)).final
+        failure = explore(root.colors)
     except _BudgetExceeded:
         return TinhoferReport("budget-exceeded", None, None, nodes)
     if failure is None:

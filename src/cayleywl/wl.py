@@ -92,6 +92,12 @@ class DiGraph:
         vertex with one call."""
         return tuple(map(_in_gatherer, self.in_neighbors))
 
+    def in_colors(self, colors: Sequence[int]) -> Iterable[tuple[int, ...]]:
+        """Per vertex, the colors of its in-neighbors, as a tuple in in-list
+        order: what a color-refinement round gathers."""
+        # itemgetter.__call__ rather than operator.call, which needs Python 3.11
+        return map(itemgetter.__call__, self._in_gatherers, repeat(colors))
+
     @cached_property
     def _in_sets(self) -> tuple[frozenset[int], ...]:
         return tuple(frozenset(s) for s in self.in_neighbors)
@@ -322,10 +328,7 @@ def cr_step(g: Graph, c: VertexColoring) -> VertexColoring:
     dg = as_digraph(g)
     if dg.n != c.n:
         raise ValueError("coloring does not match graph size")
-    colors = c.colors
-    # itemgetter.__call__ rather than operator.call, which needs Python 3.11
-    gathered = map(itemgetter.__call__, dg._in_gatherers, repeat(colors))
-    return VertexColoring(c.n, rank_signatures(colors, gathered))
+    return VertexColoring(c.n, rank_signatures(c.colors, dg.in_colors(c.colors)))
 
 
 def cr_stabilize(g: Graph, c: VertexColoring) -> RefinementTrace:

@@ -39,15 +39,24 @@ from cayleywl import (
 )
 from cayleywl.group_ring import GroupRingElement
 from cayleywl.spectral import group_spectrum
-from cayleywl.tinhofer import graph_automorphisms
-from cayleywl.partition import RefinementTrace
+from cayleywl import tinhofer
+from cayleywl.tinhofer import (
+    TinhoferReport,
+    disjoint_union,
+    graph_automorphisms,
+    individualize,
+)
+from cayleywl.partition import RefinementTrace, label_classes
 from cayleywl.wl import (
     DiGraph,
     PairColoring,
+    as_digraph,
     coloring_from_partition,
+    cr_stabilize,
     initial_cayley_smodule,
     initial_pair_coloring,
     partition_from_coloring,
+    uniform_coloring,
 )
 
 
@@ -499,6 +508,64 @@ def coloring_orbits_oracle(dg: DiGraph, colors: Sequence[int]) -> tuple[int, ...
                     for u in range(n):
                         union(u, perm[u])
     return tuple(find(v) for v in range(n))
+
+
+class _OracleBudgetExceeded(Exception):
+    pass
+
+
+def tinhofer_search_oracle(g, budget: int = 1_000_000) -> TinhoferReport:
+    """The Tinhofer property search refining the whole union G ⊎ G once for
+    every tried pair (v, w), with ``cr_stabilize`` on the union colored by
+    the node's stable coloring with v and n + w individualized: the oracle
+    for :func:`cayleywl.tinhofer.has_tinhofer_property`, which refines each
+    copy once per vertex and node.  Same orbit pruning, verdict memo,
+    ``nodes`` count and budget."""
+    dg = as_digraph(g)
+    n = dg.n
+    union = disjoint_union(dg, dg)
+    nodes = 0
+    memo: dict[tuple[int, ...], Optional[tuple[tuple[int, int], ...]]] = {}
+    orbit_memo: dict[tuple[tuple[int, ...], ...], tuple[int, ...]] = {}
+
+    def orbits(copy_colors: tuple[int, ...]) -> tuple[int, ...]:
+        key = label_classes(copy_colors)
+        if key not in orbit_memo:
+            orbit_memo[key] = tinhofer.coloring_orbits(dg, copy_colors)
+        return orbit_memo[key]
+
+    def judge(stable):
+        colors = stable.colors
+        kind, found = tinhofer._judge(dg, colors)
+        if kind != "split":
+            return () if kind == "mismatch" else None
+        c_g, c_h = colors[:n], colors[n:]
+        orbit_g, orbit_h = orbits(c_g), orbits(c_h)
+        for color in found:
+            vs = [v for v in range(n) if c_g[v] == color and orbit_g[v] == v]
+            ws = [w for w in range(n) if c_h[w] == color and orbit_h[w] == w]
+            for v, w in itertools.product(vs, ws):
+                sub = explore(cr_stabilize(union, individualize(stable, v, n + w)).final)
+                if sub is not None:
+                    return ((v, w),) + sub
+        return None
+
+    def explore(stable):
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise _OracleBudgetExceeded
+        if stable.colors not in memo:
+            memo[stable.colors] = judge(stable)
+        return memo[stable.colors]
+
+    try:
+        failure = explore(cr_stabilize(union, uniform_coloring(union.n)).final)
+    except _OracleBudgetExceeded:
+        return TinhoferReport("budget-exceeded", None, None, nodes)
+    if failure is None:
+        return TinhoferReport("true", None, None, nodes)
+    return TinhoferReport("false", failure, "color-multiset-mismatch", nodes)
 
 
 # ---------------------------------------------------------------------------

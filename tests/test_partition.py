@@ -129,7 +129,13 @@ def test_refine_to_stable_with_custom_step():
 def test_rank_signatures_matches_nested_ranking(rows):
     """Flat signatures ``(o, *sorted(g))`` rank as the nested
     ``(o, tuple(sorted(g)))``, gathered lists of mixed lengths included:
-    a proper prefix ([1] against [1, 2]) and the empty list sort first."""
+    a proper prefix ([1] against [1, 2]) and the empty list sort first.
+    Asked for, the kernel appends the distinct signatures it ranked, in
+    rank order."""
     old = [o for o, _ in rows]
     gathered = [g for _, g in rows]
-    assert rank_signatures(old, gathered) == rank_signatures_oracle(old, gathered)
+    ids = rank_signatures_oracle(old, gathered)
+    ranked = [["earlier round"]]
+    assert rank_signatures(old, gathered) == rank_signatures(old, gathered, ranked) == ids
+    by_rank = {i: (o, *sorted(g)) for i, o, g in zip(ids, old, gathered)}
+    assert ranked == [["earlier round"], [by_rank[i] for i in range(len(by_rank))]]

@@ -29,6 +29,7 @@ from invariants import (
     coloring_orbits_oracle,
     is_isomorphism,
     relabeled,
+    tinhofer_search_oracle,
     transposed_in_neighbors,
 )
 
@@ -437,6 +438,60 @@ def test_coloring_orbits_ignore_color_ids_on_cayley_graphs(case, data):
 
 
 # ---------------------------------------------------------------------------
+# copy-by-copy refinement against the union-per-pair search it replaces
+# ---------------------------------------------------------------------------
+
+# one arc on three vertices: copies individualized at 0 and 2 split into three
+# classes each, by different signatures, so a certificate of class counts
+# alone would pass the child the union run rejects
+_ONE_ARC = DiGraph.from_edges(3, [(0, 1)])
+
+
+def _search_digraphs():
+    """The one-arc digraph, then 200 seeded digraphs on 1..9 vertices."""
+    yield _ONE_ARC
+    rng = random.Random(16)
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        arcs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        yield DiGraph.from_edges(n, rng.sample(arcs, rng.randint(0, len(arcs))))
+
+
+def test_search_matches_union_oracle_on_digraphs():
+    statuses = set()
+    for dg in _search_digraphs():
+        for budget in (3, 10, 1_000_000):
+            report = has_tinhofer_property(dg, budget)
+            assert report == tinhofer_search_oracle(dg, budget), (dg, budget)
+            statuses.add(report.status)
+    assert statuses == {"true", "false", "budget-exceeded"}
+
+
+def _search_cayley_graphs():
+    """Six seeded connection sets, half of them closed under negation, per
+    group: Z2xZ8, Z2xZ2xZ4, Z3^3 and Z4xZ4."""
+    rng = random.Random(17)
+    for moduli in ((2, 8), (2, 2, 4), (3, 3, 3), (4, 4)):
+        spec = GroupSpec(moduli)
+        for i in range(6):
+            con = set(rng.sample(range(1, spec.order), rng.randint(1, spec.order - 1)))
+            if i % 2:
+                con |= {spec.neg(s) for s in con}
+            yield CayleyGraph(spec, tuple(sorted(con)))
+
+
+def test_search_matches_union_oracle_on_cayley_graphs():
+    spec = GroupSpec((4, 4))
+    counterexample = CayleyGraph(spec, (4, 12, 1, 3, 5, 15))
+    report = has_tinhofer_property(counterexample)
+    assert report.status == "false"
+    assert report == tinhofer_search_oracle(counterexample)
+    for g in _search_cayley_graphs():
+        for budget in (3, 10, 300):
+            assert has_tinhofer_property(g, budget) == tinhofer_search_oracle(g, budget), (g, budget)
+
+
+# ---------------------------------------------------------------------------
 # search tree shape: status, nodes and certificate are part of the output
 # ---------------------------------------------------------------------------
 
@@ -464,25 +519,48 @@ def test_tinhofer_search_tree_is_pinned(
 ):
     """Status, nodes and certificate are output.  Orbits are memoized by the
     partition of a copy, shared by both copies, so coloring_orbits runs once
-    per distinct partition of a copy at a splitting node."""
-    queried, split = [], set()
+    per distinct partition of a copy at a splitting node.  A splitting node
+    refines each of its copy colorings once per tried vertex, so a search
+    that tries every pair makes exactly one copy run per distinct (copy
+    coloring, vertex) of each node."""
+    queried, orbits_of, split, runs = [], {}, [], []
     judge = tinhofer._judge
+    refine_copy = tinhofer._refine_copy
 
     def counted_orbits(dg, colors):
         queried.append(label_classes(colors))
-        return coloring_orbits(dg, colors)
+        orbits_of[queried[-1]] = coloring_orbits(dg, colors)
+        return orbits_of[queried[-1]]
 
     def recorded_judge(dg, colors):
         kind, found = judge(dg, colors)
         if kind == "split":
-            split.update((label_classes(colors[: dg.n]), label_classes(colors[dg.n :])))
+            split.append((dg.n, colors, found))
         return kind, found
+
+    def counted_refine_copy(dg, colors, v):
+        runs.append((colors, v))
+        return refine_copy(dg, colors, v)
 
     monkeypatch.setattr(tinhofer, "coloring_orbits", counted_orbits)
     monkeypatch.setattr(tinhofer, "_judge", recorded_judge)
+    monkeypatch.setattr(tinhofer, "_refine_copy", counted_refine_copy)
     report = has_tinhofer_property(CayleyGraph(GroupSpec(moduli), con))
     assert (report.status, report.nodes, report.certificate) == (status, nodes, certificate)
-    assert len(queried) == len(set(queried)) == len(split) == orbit_calls
+    halves = {label_classes(half) for n, colors, _ in split for half in (colors[:n], colors[n:])}
+    assert len(queried) == len(set(queried)) == len(halves) == orbit_calls
+    tried = set()
+    needed = 0
+    for n, colors, found in split:
+        keys = set()
+        for half in (colors[:n], colors[n:]):
+            orbit = orbits_of[label_classes(half)]
+            keys.update((half, v) for v in range(n) if half[v] in found and orbit[v] == v)
+        tried |= keys
+        needed += len(keys)
+    # every pair is tried below a true verdict; a failure ends the search early
+    assert set(runs) <= tried and len(runs) <= needed
+    assert status != "true" or len(runs) == needed
 
 
 # ---------------------------------------------------------------------------
