@@ -20,16 +20,7 @@ from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from .groups import GroupSpec, is_prime
 from .partition import dense_rank, label_classes, rank_signatures
-from .wl import (
-    CayleyGraph,
-    DiGraph,
-    Graph,
-    VertexColoring,
-    as_digraph,
-    build_cayley,
-    cr_stabilize,
-    uniform_coloring,
-)
+from .wl import CayleyGraph, DiGraph, Graph, VertexColoring, as_digraph, build_cayley
 
 
 def individualize(c: VertexColoring, *vertices: int) -> VertexColoring:
@@ -40,11 +31,6 @@ def individualize(c: VertexColoring, *vertices: int) -> VertexColoring:
     for v in vertices:
         colors[v] = fresh
     return VertexColoring(c.n, dense_rank(colors))
-
-
-def disjoint_union(a: DiGraph, b: DiGraph) -> DiGraph:
-    shifted = [[a.n + v for v in heads] for heads in b.out_neighbors]
-    return DiGraph.from_out_lists(a.out_neighbors + tuple(shifted))
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +214,8 @@ class IsoResult:
 
 
 def tinhofer_iso_test(g: Graph, h: Graph) -> IsoResult:
-    """Run the individualization-refinement isomorphism procedure.
+    """Run the individualization-refinement isomorphism procedure on g ⊎ h,
+    refining each copy alone (see :func:`_refine_copy`).
 
     A stable coloring holding every color once per copy yields the
     color-matching bijection, an isomorphism (see :func:`_judge`), as the
@@ -237,28 +224,27 @@ def tinhofer_iso_test(g: Graph, h: Graph) -> IsoResult:
     id, least vertex index in each copy.
     """
     dg, dh = as_digraph(g), as_digraph(h)
-    union = disjoint_union(dg, dh)
-    n = dg.n
-    coloring = uniform_coloring(union.n)
+    c_g, certificate_g = _refine_copy(dg, (0,) * dg.n)
+    c_h, certificate_h = _refine_copy(dh, (0,) * dh.n)
     history: tuple[tuple[int, int], ...] = ()
-    while True:
-        stable = cr_stabilize(union, coloring).final
-        kind, found = _judge(dg, stable.colors)
-        if kind == "mismatch":
-            return IsoResult("non-isomorphic", None, history)
+    # equal certificates can still hide unequal multiplicities, which _judge sees
+    while certificate_g == certificate_h:
+        kind, found = _judge(dg, c_g + c_h)
         if kind == "leaf":
             return IsoResult("isomorphic", found, history)
-        v = stable.colors.index(found[0])
-        w = stable.colors.index(found[0], n) - n
-        coloring = individualize(stable, v, n + w)
+        if kind == "mismatch":
+            break
+        v, w = c_g.index(found[0]), c_h.index(found[0])
+        c_g, certificate_g = _refine_copy(dg, c_g, v)
+        c_h, certificate_h = _refine_copy(dh, c_h, w)
         history += ((v, w),)
+    return IsoResult("non-isomorphic", None, history)
 
 
 @dataclass(frozen=True)
 class TinhoferReport:
     status: str  # "true" | "false" | "budget-exceeded"
     certificate: Optional[tuple[tuple[int, int], ...]]
-    failure: Optional[str]  # "color-multiset-mismatch"
     nodes: int
 
 
@@ -270,29 +256,31 @@ class _BudgetExceeded(Exception):
 _CopyRun = tuple[tuple[int, ...], list[list[tuple[int, ...]]]]
 
 
-def _refine_copy(dg: DiGraph, colors: tuple[int, ...], v: int) -> _CopyRun:
-    """Color refinement of one copy of dg ⊎ dg from its half ``colors`` of a
-    stable union coloring, with v individualized: the copy's final colors and
-    its certificate, the sorted distinct signatures of every round.
+def _refine_copy(dg: DiGraph, colors: tuple[int, ...], v: Optional[int] = None) -> _CopyRun:
+    """Color refinement of dg from ``colors``, with v individualized when
+    given: the final colors and the certificate, the sorted distinct
+    signatures of every round.
 
-    Individualizing v in one copy and a partner in the other, the union
-    ranks each round's signatures among both copies'.  While the copies'
+    On a disjoint union whose copies start from its halves, with v
+    individualized in one copy and a partner in the other, the union ranks
+    each round's signatures among both copies'.  While the copies'
     signature sets agree round by round, the union's ids are each copy's
-    ids, and both copies stop in the same round, so equal certificates give
-    the union's stable coloring as the two final colorings concatenated.
-    Otherwise some color is held in one copy only, and the union run ends in
-    a color-multiset mismatch.  The union is never discrete, so its run
-    always confirms its fixed point; the certificate holds the confirming
-    round even when the copy is discrete.
+    ids, and both stop in the same round, so equal certificates give the
+    union's stable coloring as the two final colorings concatenated.
+    Otherwise some color is held in one copy only, and the union run ends
+    in a color-multiset mismatch.  A nonempty union whose copies share
+    every color is never discrete, so it always confirms its fixed point,
+    and so does the certificate, even on a discrete copy.
 
-    ``colors`` holds every id below its maximum, and v's color is held by
-    another vertex too, as at a splitting node.  So the fresh id
-    ``max + 1`` individualizes v as :func:`individualize` would, with no
-    ids to re-rank.
+    ``colors`` holds every id below its maximum and, when v is given, v's
+    color is held by another vertex too, as at a splitting node.  So the
+    fresh id ``max + 1`` individualizes v as :func:`individualize` would,
+    with no ids to re-rank.
     """
-    count = max(colors) + 1
-    colors = colors[:v] + (count,) + colors[v + 1 :]
-    count += 1
+    count = max(colors, default=-1) + 1
+    if v is not None:
+        colors = colors[:v] + (count,) + colors[v + 1 :]
+        count += 1
     certificate: list[list[tuple[int, ...]]] = []
     while True:
         refined = rank_signatures(colors, dg.in_colors(colors), certificate)
@@ -372,13 +360,12 @@ def has_tinhofer_property(g: Graph, budget: int = 1_000_000) -> TinhoferReport:
         return memo[colors]
 
     try:
-        root = cr_stabilize(disjoint_union(dg, dg), uniform_coloring(2 * n)).final
-        failure = explore(root.colors)
+        failure = explore(2 * _refine_copy(dg, (0,) * n)[0])
     except _BudgetExceeded:
-        return TinhoferReport("budget-exceeded", None, None, nodes)
+        return TinhoferReport("budget-exceeded", None, nodes)
     if failure is None:
-        return TinhoferReport("true", None, None, nodes)
-    return TinhoferReport("false", failure, "color-multiset-mismatch", nodes)
+        return TinhoferReport("true", None, nodes)
+    return TinhoferReport("false", failure, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -406,16 +393,13 @@ class CanonicalForm:
         return "".join(f"{int(bits[i:i + 4], 2):x}" for i in range(0, len(bits), 4))
 
 
-def canonical_form_prime_circulant(
-    spec: GroupSpec, con: Iterable[int], verify_choices: bool = False
-) -> CanonicalForm:
+def canonical_form_prime_circulant(spec: GroupSpec, con: Iterable[int]) -> CanonicalForm:
     """Canonical labeling of Cay(Z_p, con) by individualization-refinement.
 
-    While the stable coloring is not discrete, one representative of the
+    While the stable coloring is not discrete, the least vertex of the
     least non-singleton color class is individualized (at most twice).  The
-    vertex order sorts by final color id.  ``verify_choices`` recomputes the
-    code for every representative of each chosen class and asserts all agree,
-    which holds because the automorphisms act transitively on color classes.
+    vertex order sorts by final color id.  Any vertex of the class gives the
+    same code, as the automorphisms act transitively on color classes.
     Edgeless and complete graphs never refine and take the identity order.
     """
     if len(spec.moduli) != 1 or not is_prime(spec.order):
@@ -430,23 +414,14 @@ def canonical_form_prime_circulant(
 
     if dg.edge_count in (0, p * (p - 1)):
         return labeled(tuple(range(p)))
-
-    def finish(coloring: VertexColoring, depth: int) -> CanonicalForm:
-        stable = cr_stabilize(dg, coloring).final
-        if stable.is_discrete():
-            return labeled(tuple(sorted(range(p), key=lambda v: stable.colors[v])))
+    colors = _refine_copy(dg, (0,) * p)[0]
+    for depth in range(3):
+        repeated = _repeated(sorted(colors))
+        if not repeated:
+            return labeled(tuple(sorted(range(p), key=colors.__getitem__)))
         if depth == 2:
             raise AssertionError("prime circulant not discrete after two individualizations")
-        color = _repeated(sorted(stable.colors))[0]
-        members = [v for v in range(p) if stable.colors[v] == color]
-        form = finish(individualize(stable, members[0]), depth + 1)
-        if verify_choices:
-            codes = {finish(individualize(stable, v), depth + 1).code for v in members[1:]}
-            if codes - {form.code}:
-                raise AssertionError("representatives of a color class produced different codes")
-        return form
-
-    return finish(uniform_coloring(p), 0)
+        colors = _refine_copy(dg, colors, colors.index(repeated[0]))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -41,8 +41,8 @@ from cayleywl.group_ring import GroupRingElement
 from cayleywl.spectral import group_spectrum
 from cayleywl import tinhofer
 from cayleywl.tinhofer import (
+    IsoResult,
     TinhoferReport,
-    disjoint_union,
     graph_automorphisms,
     individualize,
 )
@@ -510,6 +510,35 @@ def coloring_orbits_oracle(dg: DiGraph, colors: Sequence[int]) -> tuple[int, ...
     return tuple(find(v) for v in range(n))
 
 
+def disjoint_union(a: DiGraph, b: DiGraph) -> DiGraph:
+    """a ⊎ b: b's vertices follow a's, shifted by a.n."""
+    shifted = [[a.n + v for v in heads] for heads in b.out_neighbors]
+    return DiGraph.from_out_lists(a.out_neighbors + tuple(shifted))
+
+
+def tinhofer_iso_test_oracle(g, h) -> IsoResult:
+    """The isomorphism procedure refining the whole union G ⊎ H with
+    ``cr_stabilize`` after every individualized pair: the oracle for
+    :func:`cayleywl.tinhofer.tinhofer_iso_test`, which refines each copy
+    alone.  Same choices: least eligible color, least vertex in each copy."""
+    dg, dh = as_digraph(g), as_digraph(h)
+    union = disjoint_union(dg, dh)
+    n = dg.n
+    coloring = uniform_coloring(union.n)
+    history: tuple[tuple[int, int], ...] = ()
+    while True:
+        stable = cr_stabilize(union, coloring).final
+        kind, found = tinhofer._judge(dg, stable.colors)
+        if kind == "mismatch":
+            return IsoResult("non-isomorphic", None, history)
+        if kind == "leaf":
+            return IsoResult("isomorphic", found, history)
+        v = stable.colors.index(found[0])
+        w = stable.colors.index(found[0], n) - n
+        coloring = individualize(stable, v, n + w)
+        history += ((v, w),)
+
+
 class _OracleBudgetExceeded(Exception):
     pass
 
@@ -562,10 +591,10 @@ def tinhofer_search_oracle(g, budget: int = 1_000_000) -> TinhoferReport:
     try:
         failure = explore(cr_stabilize(union, uniform_coloring(union.n)).final)
     except _OracleBudgetExceeded:
-        return TinhoferReport("budget-exceeded", None, None, nodes)
+        return TinhoferReport("budget-exceeded", None, nodes)
     if failure is None:
-        return TinhoferReport("true", None, None, nodes)
-    return TinhoferReport("false", failure, "color-multiset-mismatch", nodes)
+        return TinhoferReport("true", None, nodes)
+    return TinhoferReport("false", failure, nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -17,18 +17,15 @@ from cayleywl import (
 )
 from cayleywl import tinhofer
 from cayleywl.partition import label_classes
-from cayleywl.tinhofer import (
-    color_bijections,
-    coloring_orbits,
-    disjoint_union,
-    graph_automorphisms,
-)
+from cayleywl.tinhofer import color_bijections, coloring_orbits, graph_automorphisms
 from cayleywl.wl import DiGraph, build_cayley, cr_stabilize
 from invariants import (
     color_bijections_oracle,
     coloring_orbits_oracle,
+    disjoint_union,
     is_isomorphism,
     relabeled,
+    tinhofer_iso_test_oracle,
     tinhofer_search_oracle,
     transposed_in_neighbors,
 )
@@ -137,6 +134,35 @@ def test_iso_test_runs_are_pinned():
     assert digest.hexdigest() == _ISO_DIGEST
 
 
+def _sized_iso_pairs():
+    """Two 0-vertex graphs, K1 and 2K1, a pair whose copy runs agree round
+    by round while their color multisets differ, then 300 seeded digraph
+    pairs of independent sizes 0..9."""
+    yield DiGraph.from_edges(0, []), DiGraph.from_edges(0, [])
+    yield DiGraph.from_edges(1, []), DiGraph.from_edges(2, [])
+    # both split once, by the signatures (0,) and (0, 0), into in-degrees 0
+    # and 1; in-degree 1 is held twice on the left and once on the right
+    yield DiGraph.from_edges(4, [(0, 1), (0, 2)]), DiGraph.from_edges(4, [(0, 1)])
+    rng = random.Random(17)
+    for _ in range(300):
+        pair = []
+        for n in (rng.randint(0, 9), rng.randint(0, 9)):
+            arcs = [(u, v) for u in range(n) for v in range(n) if u != v]
+            pair.append(DiGraph.from_edges(n, rng.sample(arcs, rng.randint(0, len(arcs)))))
+        yield tuple(pair)
+
+
+def test_iso_test_matches_union_oracle():
+    """Copy runs in lockstep give the verdict, witness and history of the
+    run on the whole union, also between graphs of different sizes."""
+    verdicts = set()
+    for g, h in _sized_iso_pairs():
+        result = tinhofer_iso_test(g, h)
+        assert result == tinhofer_iso_test_oracle(g, h), (g.out_neighbors, h.out_neighbors)
+        verdicts.add(result.verdict)
+    assert verdicts == {"isomorphic", "non-isomorphic"}
+
+
 def test_tinhofer_property_complete_graph():
     k5 = CayleyGraph(GroupSpec((5,)), (1, 2, 3, 4))
     report = has_tinhofer_property(k5)
@@ -155,7 +181,6 @@ def test_tinhofer_property_counterexample():
     report = has_tinhofer_property(CayleyGraph(spec, con))
     assert report.status == "false"
     assert report.certificate[0] == (0, 0)
-    assert report.failure == "color-multiset-mismatch"
 
 
 def test_tinhofer_budget():
@@ -211,13 +236,6 @@ def test_canonical_form_trivial_sets():
     assert empty.code == "0" * 49
     full = canonical_form_prime_circulant(GroupSpec((5,)), (1, 2, 3, 4))
     assert full.code.count("1") == 20
-
-
-def test_canonical_form_verify_choices():
-    for con in ((1, 6), (1, 2, 4), (2, 3), (1, 3, 5)):
-        fast = canonical_form_prime_circulant(Z7, con)
-        checked = canonical_form_prime_circulant(Z7, con, verify_choices=True)
-        assert fast.code == checked.code
 
 
 def test_canonical_form_rejects_non_prime():
@@ -538,8 +556,10 @@ def test_tinhofer_search_tree_is_pinned(
             split.append((dg.n, colors, found))
         return kind, found
 
-    def counted_refine_copy(dg, colors, v):
-        runs.append((colors, v))
+    def counted_refine_copy(dg, colors, v=None):
+        # the root is one run with no vertex individualized
+        if v is not None:
+            runs.append((colors, v))
         return refine_copy(dg, colors, v)
 
     monkeypatch.setattr(tinhofer, "coloring_orbits", counted_orbits)
@@ -657,8 +677,7 @@ _CANON_DIGEST = "cccd071ee7e308c59043a06c4c387945b733ae35d47125ed96d37f45db5dbef
 
 def test_canonical_forms_are_pinned():
     """All 5 206 connection sets of Z_p, p in {2, 3, 5, 7, 11, 13}: orders
-    and codes hash to the pinned digest, and checking every representative
-    of each chosen class gives the same forms for p <= 7."""
+    and codes hash to the pinned digest."""
     digest = hashlib.sha256()
     count = 0
     for p in (2, 3, 5, 7, 11, 13):
@@ -668,7 +687,44 @@ def test_canonical_forms_are_pinned():
             form = canonical_form_prime_circulant(spec, con)
             digest.update(f"{p} {con} {form.hex} {form.order}\n".encode())
             count += 1
-            if p <= 7:
-                assert canonical_form_prime_circulant(spec, con, verify_choices=True) == form
     assert count == 5206
     assert digest.hexdigest() == _CANON_DIGEST
+
+
+def _coset_union_sets():
+    """(p, con, m) for the primes 17..61: per subgroup of the multiplier
+    group Z_p^*, eight seeded unions of its cosets, each with a seeded
+    unit m.  A connection set fixed by a nontrivial subgroup keeps a
+    non-discrete coloring after one individualization."""
+    rng = random.Random(17)
+    for p in (17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61):
+        factors = [q for q in range(2, p) if (p - 1) % q == 0 and all(q % r for r in range(2, q))]
+        root = next(r for r in range(2, p) if all(pow(r, (p - 1) // q, p) != 1 for q in factors))
+        for d in (d for d in range(1, p) if (p - 1) % d == 0):
+            subgroup = {pow(root, (p - 1) // d * k, p) for k in range(d)}
+            cosets = list({frozenset(x * h % p for h in subgroup) for x in range(1, p)})
+            cosets.sort(key=min)
+            for _ in range(8):
+                con = sorted(x for coset in cosets if rng.random() < 0.5 for x in coset)
+                yield p, tuple(con), rng.randrange(1, p)
+
+
+# sha256 over one "p con hex order" line per set of _coset_union_sets
+_COSET_CANON_DIGEST = "e2e5ef6d4298af9f319de8552fd033aa284a2d7040eb5bfe2728d333704d4c10"
+
+
+def test_canonical_forms_of_coset_unions_are_pinned_and_canonical():
+    """Orders and codes of 640 coset unions hash to the pinned digest, and
+    the image of each set under its unit m, an isomorphic circulant with
+    its vertices relabeled by x -> m*x, gets the same code."""
+    digest = hashlib.sha256()
+    count = 0
+    for p, con, m in _coset_union_sets():
+        spec = GroupSpec((p,))
+        form = canonical_form_prime_circulant(spec, con)
+        digest.update(f"{p} {con} {form.hex} {form.order}\n".encode())
+        count += 1
+        scaled = tuple(sorted(m * c % p for c in con))
+        assert canonical_form_prime_circulant(spec, scaled).code == form.code, (p, con, m)
+    assert count == 640
+    assert digest.hexdigest() == _COSET_CANON_DIGEST
