@@ -36,7 +36,6 @@ from .tinhofer import (
     CanonicalForm,
     IsoResult,
     TinhoferReport,
-    brute_force_iso_oracle,
     canonical_form_prime_circulant,
     has_tinhofer_property,
     individualize,

@@ -16,11 +16,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
-from typing import Any, Iterable, Iterator, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 from .groups import GroupSpec, is_prime
 from .partition import dense_rank, label_classes, rank_signatures
-from .wl import CayleyGraph, DiGraph, Graph, VertexColoring, as_digraph, build_cayley
+from .wl import DiGraph, Graph, VertexColoring, as_digraph, build_cayley
 
 
 def individualize(c: VertexColoring, *vertices: int) -> VertexColoring:
@@ -42,33 +42,34 @@ def color_bijections(
     b: DiGraph,
     colors_a: Sequence[int],
     colors_b: Sequence[int],
-    forced: Sequence[tuple[int, int]] = (),
-) -> Iterator[tuple[int, ...]]:
-    """Yield all bijections a -> b preserving colors and adjacency, with the
-    forced vertex pairs pre-assigned.
+    v0: int,
+    w0: int,
+) -> Optional[tuple[int, ...]]:
+    """The first bijection a -> b preserving colors and adjacency with
+    v0 -> w0, or None when there is none.
 
-    Vertices are placed in breadth-first order from the forced ones over the
-    underlying undirected graph of a.  A vertex reached from a placed
-    neighbor u draws its candidates from the out- or in-neighbors of u's
-    image, matching the direction of the edge; only the first vertex of a
-    component without placed vertices scans its color class, taken least
-    (class size, color, vertex) first.  A candidate w for v is consistent
-    when the placed out- and in-neighbors of w are exactly the images of the
-    placed out- and in-neighbors of v: set intersections in O(degree)
-    instead of an edge test against every placed vertex.  Color multisets
-    need no comparison: a color-preserving injection between two n-vertex
-    graphs exists only when they are equal."""
+    Vertices are placed in breadth-first order from v0 over the underlying
+    undirected graph of a.  A vertex reached from a placed neighbor u draws
+    its candidates from the out- or in-neighbors of u's image, matching the
+    direction of the edge; only the first vertex of a component without
+    placed vertices scans its color class, taken least (class size, color,
+    vertex) first.  A candidate w for v is consistent when the placed out-
+    and in-neighbors of w are exactly the images of the placed out- and
+    in-neighbors of v: set intersections in O(degree) instead of an edge
+    test against every placed vertex.  Color multisets need no comparison:
+    a color-preserving injection between two n-vertex graphs exists only
+    when they are equal."""
     n = a.n
-    if b.n != n:
-        return
+    if b.n != n or colors_a[v0] != colors_b[w0]:
+        return None
     pool: dict[int, list[int]] = {}
     for w, c in enumerate(colors_b):
         pool.setdefault(c, []).append(w)
     out_a, in_a = a._out_sets, a._in_sets
     out_b, in_b = b._out_sets, b._in_sets
     mapping = [-1] * n
-    placed: set[int] = set()
-    image: set[int] = set()
+    mapping[v0] = w0
+    placed, image = {v0}, {w0}
     mapped = mapping.__getitem__
 
     def consistent(v: int, w: int) -> bool:
@@ -78,17 +79,10 @@ def color_bijections(
             and set(map(mapped, in_a[v] & placed)) == in_b[w] & image
         )
 
-    for v, w in forced:
-        if w in image or v in placed or not consistent(v, w):
-            return
-        mapping[v] = w
-        placed.add(v)
-        image.add(w)
-
     # placement order: (v, u, forward) draws v's candidates from the out-
     # (forward) or in-neighbors of u's image, or from v's color pool if u < 0
     steps: list[tuple[int, int, bool]] = []
-    seen = [v in placed for v in range(n)]
+    seen = [v == v0 for v in range(n)]
     neighbors = a._neighbors
 
     def spread(queue: deque[int]) -> None:
@@ -100,7 +94,7 @@ def color_bijections(
                     steps.append((v, u, v in out_a[u]))
                     queue.append(v)
 
-    spread(deque(v for v, _ in forced))
+    spread(deque((v0,)))
     unseen = [v for v in range(n) if not seen[v]]
     unseen.sort(key=lambda v: (len(pool.get(colors_a[v], ())), colors_a[v], v))
     for root in unseen:
@@ -109,10 +103,9 @@ def color_bijections(
             steps.append((root, -1, True))
             spread(deque((root,)))
 
-    def dfs(k: int) -> Iterator[tuple[int, ...]]:
+    def dfs(k: int) -> bool:
         if k == len(steps):
-            yield tuple(mapping)
-            return
+            return True
         v, u, forward = steps[k]
         if u < 0:
             candidates = pool.get(colors_a[v], ())
@@ -124,27 +117,22 @@ def color_bijections(
             mapping[v] = w
             placed.add(v)
             image.add(w)
-            yield from dfs(k + 1)
+            if dfs(k + 1):
+                return True
             placed.discard(v)
             image.discard(w)
+        return False
 
-    yield from dfs(0)
-
-
-def graph_automorphisms(
-    g: Graph, colors: Optional[Sequence[int]] = None
-) -> Iterator[tuple[int, ...]]:
-    """Enumerate the (color-preserving) automorphisms of a graph."""
-    dg = as_digraph(g)
-    cols = tuple(colors) if colors is not None else (0,) * dg.n
-    return color_bijections(dg, dg, cols, cols)
+    return tuple(mapping) if dfs(0) else None
 
 
 def coloring_orbits(dg: DiGraph, colors: Sequence[int]) -> tuple[int, ...]:
     """Orbit label per vertex under the color-preserving automorphism group.
 
-    Orbits are discovered by pairwise automorphism searches inside each color
-    class; every found automorphism merges all its vertex orbits at once.
+    Orbits are discovered by automorphism searches between the orbit roots
+    of each color class; every found automorphism merges all its vertex
+    orbits at once.  A vertex that is no longer its own root is skipped on
+    either side: its root's search decided the same pair.
     """
     n = dg.n
     parent = list(range(n))
@@ -163,11 +151,9 @@ def coloring_orbits(dg: DiGraph, colors: Sequence[int]) -> tuple[int, ...]:
     for members in label_classes(colors):
         for i, v0 in enumerate(members):
             for v in members[i + 1 :]:
-                if find(v0) == find(v):
+                if parent[v0] != v0 or parent[v] != v:
                     continue
-                perm = next(
-                    color_bijections(dg, dg, colors, colors, forced=[(v0, v)]), None
-                )
+                perm = color_bijections(dg, dg, colors, colors, v0, v)
                 if perm is not None:
                     for u in range(n):
                         union(u, perm[u])
@@ -422,40 +408,3 @@ def canonical_form_prime_circulant(spec: GroupSpec, con: Iterable[int]) -> Canon
         if depth == 2:
             raise AssertionError("prime circulant not discrete after two individualizations")
         colors = _refine_copy(dg, colors, colors.index(repeated[0]))[0]
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracle
-# ---------------------------------------------------------------------------
-
-_GENERIC_LIMIT = 10
-
-
-def brute_force_iso_oracle(g: Graph, h: Graph) -> Optional[tuple[int, ...]]:
-    """Independent isomorphism witness search.
-
-    Prime-order cyclic Cayley inputs are compared by multiplier search
-    (m * con of one graph must equal the other's connection set, giving the
-    witness x -> m*x); everything else runs an exact backtracking search,
-    limited to 10 vertices.
-    """
-    if (
-        isinstance(g, CayleyGraph)
-        and isinstance(h, CayleyGraph)
-        and g.spec == h.spec
-        and len(g.spec.moduli) == 1
-        and is_prime(g.spec.order)
-    ):
-        p = g.spec.order
-        con_g, con_h = set(g.con), set(h.con)
-        for m in range(1, p):
-            if {(m * c) % p for c in con_g} == con_h:
-                return tuple((m * x) % p for x in range(p))
-        return None
-    dg, dh = as_digraph(g), as_digraph(h)
-    if dg.n != dh.n:
-        return None
-    if dg.n > _GENERIC_LIMIT:
-        raise ValueError(f"generic oracle limited to {_GENERIC_LIMIT} vertices")
-    cols = (0,) * dg.n
-    return next(color_bijections(dg, dh, cols, cols), None)

@@ -8,7 +8,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 from cayleywl import (
     CayleyGraph,
     GroupSpec,
-    brute_force_iso_oracle,
     canonical_form_prime_circulant,
     has_tinhofer_property,
     individualize,
@@ -17,9 +16,11 @@ from cayleywl import (
 )
 from cayleywl import tinhofer
 from cayleywl.partition import label_classes
-from cayleywl.tinhofer import color_bijections, coloring_orbits, graph_automorphisms
+from cayleywl.tinhofer import color_bijections, coloring_orbits
 from cayleywl.wl import DiGraph, build_cayley, cr_stabilize
+import invariants
 from invariants import (
+    brute_force_iso_oracle,
     color_bijections_oracle,
     coloring_orbits_oracle,
     disjoint_union,
@@ -214,7 +215,34 @@ def test_coloring_orbits_individualized():
 
 def test_graph_automorphism_count_directed_cycle():
     g = build_cayley(GroupSpec((5,)), (1,))
-    assert sum(1 for _ in graph_automorphisms(g)) == 5
+    assert sum(1 for _ in color_bijections_oracle(g, g, (0,) * 5, (0,) * 5)) == 5
+
+
+def test_coloring_orbits_search_only_orbit_roots(monkeypatch):
+    """Arcs 0->2 and 1->2: the search 0 -> 1 finds the swap, so 1 is no
+    longer a root and 1 -> 2 is decided by 0 -> 2."""
+    g = DiGraph.from_edges(3, [(0, 2), (1, 2)])
+    searched = []
+
+    def counted(a, b, colors_a, colors_b, v0, w0):
+        searched.append((v0, w0))
+        return color_bijections(a, b, colors_a, colors_b, v0, w0)
+
+    monkeypatch.setattr(tinhofer, "color_bijections", counted)
+    assert coloring_orbits(g, (0, 0, 0)) == (0, 0, 2)
+    assert searched == [(0, 1), (0, 2)]
+
+
+def test_oracles_do_not_call_the_production_search(monkeypatch):
+    def refused(*args):
+        raise AssertionError("oracle called tinhofer.color_bijections")
+
+    monkeypatch.setattr(tinhofer, "color_bijections", refused)
+    path = DiGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    reversed_path = DiGraph.from_edges(4, [(3, 2), (2, 1), (1, 0)])
+    assert brute_force_iso_oracle(path, reversed_path) == (3, 2, 1, 0)
+    assert brute_force_iso_oracle(path, build_cayley(GroupSpec((4,)), (1,))) is None
+    assert invariants.check_automorphism_family((5, 7)) == 78
 
 
 def test_canonical_form_iso_pair_equal_codes():
@@ -285,8 +313,14 @@ def test_generic_oracle_finds_relabeling():
 
 def test_color_bijections_respect_forced_pairs():
     g = build_cayley(Z7, (1, 6))
-    perms = list(color_bijections(g, g, (0,) * 7, (0,) * 7, forced=[(0, 3)]))
-    assert perms and all(p[0] == 3 for p in perms)
+    perm = color_bijections(g, g, (0,) * 7, (0,) * 7, 0, 3)
+    assert perm is not None and perm[0] == 3 and is_isomorphism(g, g, perm)
+    # the directed 7-cycle with 0 individualized has only the identity
+    cycle = build_cayley(Z7, (1,))
+    colors = (1,) + (0,) * 6
+    assert color_bijections(cycle, cycle, colors, colors, 1, 1) == tuple(range(7))
+    assert color_bijections(cycle, cycle, colors, colors, 1, 2) is None
+    assert color_bijections(cycle, cycle, colors, colors, 0, 1) is None
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +345,7 @@ def random_digraphs(draw, max_n=8):
 
 @st.composite
 def bijection_cases(draw):
-    """(a, b, colors_a, colors_b, forced): b is a relabeled copy of a or,
+    """(a, b, colors_a, colors_b, v0, w0): b is a relabeled copy of a or,
     half the time, an unrelated digraph with the same color multiset."""
     a, colors_a = draw(random_digraphs())
     n = a.n
@@ -321,8 +355,7 @@ def bijection_cases(draw):
     else:
         b, colors_b = _draw_digraph(draw, n), tuple(colors_a[pi[v]] for v in range(n))
     vertex = st.integers(0, n - 1)
-    forced = draw(st.lists(st.tuples(vertex, vertex), max_size=2))
-    return a, b, colors_a, colors_b, forced
+    return a, b, colors_a, colors_b, draw(vertex), draw(vertex)
 
 
 _PATH = DiGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
@@ -333,19 +366,28 @@ _RIGID = DiGraph.from_edges(3, [(0, 2), (1, 0), (1, 2), (2, 1)])
 
 
 @given(bijection_cases())
-@example((_PATH, _PATH, (0,) * 4, (0,) * 4, []))
-@example((_RIGID, _RIGID, (0,) * 3, (0,) * 3, []))
-@example((_TWO_CYCLES, _TWO_CYCLES, (0,) * 6, (0,) * 6, [(0, 4)]))
-@example((_TWO_CYCLES, _TWO_CYCLES, (0,) * 6, (0,) * 6, [(0, 4), (1, 3)]))
-@example((_EDGELESS, _EDGELESS, (0, 0, 1, 1, 1, 2), (1, 0, 1, 2, 0, 1), [(5, 3)]))
+@example((_PATH, _PATH, (0,) * 4, (0,) * 4, 0, 0))
+@example((_PATH, _PATH, (0,) * 4, (0,) * 4, 0, 3))
+@example((_RIGID, _RIGID, (0,) * 3, (0,) * 3, 0, 0))
+@example((_RIGID, _RIGID, (0,) * 3, (0,) * 3, 0, 1))
+@example((_TWO_CYCLES, _TWO_CYCLES, (0,) * 6, (0,) * 6, 0, 4))
+@example((_TWO_CYCLES, _TWO_CYCLES, (0,) * 6, (0,) * 6, 1, 3))
+@example((_EDGELESS, _EDGELESS, (0, 0, 1, 1, 1, 2), (1, 0, 1, 2, 0, 1), 5, 3))
 # color multisets differ: a color of a missing from b, and one only in b
-@example((_EDGELESS, _EDGELESS, (0, 0, 1, 1, 1, 2), (0, 0, 1, 1, 1, 1), []))
-@example((_PATH, _PATH, (0, 0, 0, 0), (0, 0, 1, 0), [(0, 0)]))
+@example((_EDGELESS, _EDGELESS, (0, 0, 1, 1, 1, 2), (0, 0, 1, 1, 1, 1), 0, 0))
+# ... and v0 -> w0 maps away the one color that differs, leaving equal rests
+@example((_EDGELESS, _EDGELESS, (0, 0, 1, 1, 1, 2), (0, 0, 1, 1, 1, 1), 5, 2))
+@example((_PATH, _PATH, (0, 0, 0, 0), (0, 0, 1, 0), 0, 0))
 def test_color_bijections_match_oracle(case):
-    a, b, colors_a, colors_b, forced = case
-    got = list(color_bijections(a, b, colors_a, colors_b, forced))
-    assert len(got) == len(set(got))
-    assert set(got) == set(color_bijections_oracle(a, b, colors_a, colors_b, forced))
+    """The search answers exactly when the oracle finds a bijection with
+    v0 -> w0, and its answer is one."""
+    a, b, colors_a, colors_b, v0, w0 = case
+    got = color_bijections(a, b, colors_a, colors_b, v0, w0)
+    want = next(color_bijections_oracle(a, b, colors_a, colors_b, [(v0, w0)]), None)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got[v0] == w0 and is_isomorphism(a, b, got)
+        assert all(colors_b[got[v]] == colors_a[v] for v in range(a.n))
 
 
 @given(random_digraphs())
@@ -420,9 +462,8 @@ def test_coloring_orbits_match_oracle_on_cayley_graphs(case):
         classes.setdefault(c, []).append(v)
     for first, *rest in classes.values():
         for v in rest:
-            forced = [(first, v)]
-            found = next(color_bijections(dg, dg, stable, stable, forced), None)
-            want = next(color_bijections_oracle(dg, dg, stable, stable, forced), None)
+            found = color_bijections(dg, dg, stable, stable, first, v)
+            want = next(color_bijections_oracle(dg, dg, stable, stable, [(first, v)]), None)
             assert (found is None) == (want is None)
             assert found is None or _is_automorphism(dg, stable, found)
 
