@@ -130,7 +130,10 @@ def stabilize_refine_con(partition: OrderedPartition, con: Iterable[int]) -> Ref
 
 def scaled_partition(partition: OrderedPartition, m: int) -> OrderedPartition:
     """Image of the partition under ``g -> m*g`` for a unit multiplier ``m``:
-    the class indices pushed forward along the map."""
+    the class indices pushed forward along the map.  ``m = 1`` is the
+    identity map, so the partition comes back as it is."""
+    if m == 1:
+        return partition
     return induced_partition(power_map(GroupRingElement(partition.spec, partition.membership), m))
 
 

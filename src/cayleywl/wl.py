@@ -8,8 +8,8 @@ same refinement much faster, and the two are cross-validated in tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
-from itertools import repeat
+from functools import cached_property, lru_cache, partial
+from itertools import chain, count, repeat
 from operator import add, itemgetter
 from typing import Iterable, Sequence, Union
 
@@ -32,14 +32,15 @@ class GraphFormatError(ValueError):
         self.position = position
 
 
-def _in_gatherer(ins: Sequence[int]) -> itemgetter:
-    """Getter of the items at ``ins`` from a tuple, as a tuple.  ``itemgetter``
-    returns a bare item for one index and rejects none, so in-degrees 0 and 1
-    take the slice ``ins[0]:ins[0] + len(ins)`` instead."""
-    if len(ins) >= 2:
-        return itemgetter(*ins)
-    start = ins[0] if ins else 0
-    return itemgetter(slice(start, start + len(ins)))
+def _gatherer(indices: Sequence[int]) -> itemgetter:
+    """Getter of the items at ``indices`` from a sequence, as a sequence.
+    ``itemgetter`` returns a bare item for one index and rejects none, so 0
+    and 1 indices (in-degrees 0 and 1, or a pair layout on 0 or 1 vertices)
+    take the slice ``indices[0]:indices[0] + len(indices)`` instead."""
+    if len(indices) >= 2:
+        return itemgetter(*indices)
+    start = indices[0] if indices else 0
+    return itemgetter(slice(start, start + len(indices)))
 
 
 @dataclass(frozen=True)
@@ -88,9 +89,9 @@ class DiGraph:
     @cached_property
     def _in_gatherers(self) -> tuple[itemgetter, ...]:
         """Per vertex, a getter of its in-neighbors' colors (see
-        :func:`_in_gatherer`), so a color-refinement round gathers each
+        :func:`_gatherer`), so a color-refinement round gathers each
         vertex with one call."""
-        return tuple(map(_in_gatherer, self.in_neighbors))
+        return tuple(map(_gatherer, self.in_neighbors))
 
     def in_colors(self, colors: Sequence[int]) -> Iterable[tuple[int, ...]]:
         """Per vertex, the colors of its in-neighbors, as a tuple in in-list
@@ -190,38 +191,83 @@ def _pair_category(fwd: bool, bwd: bool) -> int:
 
 def initial_pair_coloring(g: Graph) -> PairColoring:
     """Structural coloring of all pairs: diagonal, non-edge, forward-only,
-    backward-only, bidirectional; only realized categories receive ids."""
+    backward-only, bidirectional; only realized categories receive ids.
+    Row i is read off the out- and in-list of i, summing the categories of
+    :func:`_pair_category`: every pair starts as a non-edge, 1, an arc
+    i -> v adds 1 and an arc v -> i adds 2."""
     dg = as_digraph(g)
     n = dg.n
-    raw = [
-        0 if i == j else _pair_category(dg.has_edge(i, j), dg.has_edge(j, i))
-        for i in range(n)
-        for j in range(n)
-    ]
+    raw = [1] * (n * n)
+    for base, outs, ins in zip(count(0, n), dg.out_neighbors, dg.in_neighbors):
+        for v in outs:
+            raw[base + v] += 1
+        for v in ins:
+            raw[base + v] += 2
+    raw[:: n + 1] = repeat(0, n)
     return PairColoring(n, dense_rank(raw))
 
 
-# a 2-WL round on 512 vertices would hold about 1.1 GB of signature entries
+# a 2-WL round on 512 vertices would hold 0.5 to 1.1 GB of signature entries
 WL2_LIMIT = 256
+
+
+@lru_cache(maxsize=8)
+def _triangle(n: int) -> tuple[tuple[tuple[int, int], ...], itemgetter, itemgetter]:
+    """For n vertices: the pairs (i, j) with i <= j in row-major order, a
+    getter of their entries from a row-major n * n sequence, and a getter
+    that lays out n * n entries row-major from the entries of those pairs
+    followed by the entries of their transposes."""
+    upper = tuple((i, j) for i in range(n) for j in range(i, n))
+    slot = {pair: s for s, pair in enumerate(upper)}
+    half = len(upper)
+    layout = [slot[i, j] if i <= j else half + slot[j, i] for i in range(n) for j in range(n)]
+    return upper, _gatherer([i * n + j for i, j in upper]), _gatherer(layout)
 
 
 def wl2_step(c: PairColoring) -> PairColoring:
     """One 2-WL round: recolor each pair (i, j) by its old color together with
     the multiset over all third vertices v of the color pair
-    ``(c(i, v), c(v, j))``, gathered as ``c(i, v) * k + c(v, j)``."""
+    ``(c(i, v), c(v, j))``, gathered as ``c(i, v) * k + c(v, j)``.
+
+    The coloring must be closed under transposition: the color of (i, j)
+    determines the color of (j, i), as in every coloring that
+    :func:`initial_pair_coloring` or this step returns; any other raises
+    ``ValueError``.  Then the signature of (i, j) determines that of (j, i),
+    so only the pairs with i <= j are gathered and ranked, and each distinct
+    signature's mirror is gathered once, at the transpose of its first pair.
+    Every pair's signature is among these and their mirrors, and the ids
+    are the ranks among them: the ids of a round over all pairs.
+    """
     n, k = c.n, c.class_count
     cols = c.colors
     left = [[x * k for x in cols[i * n : (i + 1) * n]] for i in range(n)]
     right = [cols[j::n] for j in range(n)]
-    gathered = (map(add, row, col) for row in left for col in right)
-    return PairColoring(n, rank_signatures(cols, gathered))
+    # right[i] is row i of the transpose; closed means one partner per color
+    if len(set(zip(cols, chain.from_iterable(right)))) != k:
+        raise ValueError("pair coloring is not closed under transposition")
+    upper, upper_entries, layout = _triangle(n)
+    ranked: list[list[tuple[int, ...]]] = []
+    gathered = (map(add, left[i], right[j]) for i, j in upper)
+    slots = rank_signatures(upper_entries(cols), gathered, ranked)
+    distinct = ranked[0]
+    # read backwards, so the first pair of each slot is written last
+    firsts = dict(zip(reversed(slots), reversed(upper)))
+    mirrors = [
+        (cols[j * n + i], *sorted(map(add, left[j], right[i])))
+        for i, j in map(firsts.__getitem__, range(len(distinct)))
+    ]
+    ids = {s: r for r, s in enumerate(sorted({*distinct, *mirrors}))}
+    up = list(map(ids.__getitem__, distinct))
+    down = list(map(ids.__getitem__, mirrors))
+    return PairColoring(n, layout((*map(up.__getitem__, slots), *map(down.__getitem__, slots))))
 
 
 def wl2_stabilize(g: Graph) -> RefinementTrace:
     """Iterate :func:`wl2_step` from the structural coloring to its fixed point.
 
     Graphs above :data:`WL2_LIMIT` vertices are rejected before any pair is
-    colored: a round holds n^2 * (n + 1) signature entries.
+    colored: a round ranks n(n + 1)/2 signatures of n + 1 entries, and its
+    mirrored signatures can double that.
     """
     if g.n > WL2_LIMIT:
         raise ValueError(f"wl2 limited to graphs of at most {WL2_LIMIT} vertices, got {g.n}")

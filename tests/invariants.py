@@ -13,6 +13,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from operator import add
 from typing import Iterator, Optional, Sequence
 
 from cayleywl import (
@@ -42,7 +43,7 @@ from cayleywl.spectral import group_spectrum
 from cayleywl import tinhofer
 from cayleywl.groups import is_prime
 from cayleywl.tinhofer import IsoResult, TinhoferReport, individualize
-from cayleywl.partition import RefinementTrace, label_classes
+from cayleywl.partition import RefinementTrace, dense_rank, label_classes, rank_signatures
 from cayleywl.wl import (
     DiGraph,
     PairColoring,
@@ -219,6 +220,29 @@ def wl2_step_oracle(c: PairColoring) -> PairColoring:
             sigs.append((cols[row_base + j], tuple(legs)))
     ids: dict[object, int] = {}
     return PairColoring(n, tuple(ids.setdefault(s, len(ids)) for s in sigs))
+
+
+def wl2_step_all_pairs(c: PairColoring) -> PairColoring:
+    """One 2-WL round that gathers and ranks the signature of every pair,
+    with the kernel's ids: the round :func:`cayleywl.wl2_step` computes from
+    the pairs with i <= j and their mirrors."""
+    n, k = c.n, c.class_count
+    cols = c.colors
+    left = [[x * k for x in cols[i * n : (i + 1) * n]] for i in range(n)]
+    right = [cols[j::n] for j in range(n)]
+    gathered = (map(add, row, col) for row in left for col in right)
+    return PairColoring(n, rank_signatures(cols, gathered))
+
+
+def initial_pair_coloring_oracle(dg: DiGraph) -> PairColoring:
+    """Structural pair coloring from two edge queries per pair."""
+    n = dg.n
+    raw = [
+        0 if i == j else 1 + dg.has_edge(i, j) + 2 * dg.has_edge(j, i)
+        for i in range(n)
+        for j in range(n)
+    ]
+    return PairColoring(n, dense_rank(raw))
 
 
 def is_cayley_partition_oracle(c: PairColoring, spec: GroupSpec) -> bool:

@@ -259,3 +259,14 @@ def test_exponentiation_helpers_match_oracles(spec, k, rnd):
     assert is_exponentiation_stable_oracle(closed)
     for p in (part, closed, coarsen(closed, rnd), power_equivalence_classes(spec)):
         assert is_exponentiation_stable(p) == is_exponentiation_stable_oracle(p)
+
+
+@given(st.sampled_from(MIXED_SPECS), st.integers(1, 6), st.randoms(use_true_random=False))
+def test_scaled_partition_by_one_and_back(spec, k, rnd):
+    """Scaling by 1 returns the partition itself; scaling by a unit m and
+    then by its inverse mod |G| gives back the original classes."""
+    part = random_partition(spec, rnd, k)
+    assert scaled_partition(part, 1) is part
+    for m in unit_multipliers(spec):
+        back = scaled_partition(scaled_partition(part, m), pow(m, -1, spec.order))
+        assert back.classes == part.classes

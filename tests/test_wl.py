@@ -45,10 +45,12 @@ from invariants import (
     cr_round_oracle,
     cr_stabilize_oracle,
     first_occurrence,
+    initial_pair_coloring_oracle,
     is_cayley_partition_oracle,
     ladder_connection_set,
     relabeled,
     transposed_in_neighbors,
+    wl2_step_all_pairs,
     wl2_step_oracle,
 )
 
@@ -462,6 +464,46 @@ def test_wl2_matches_oracle_on_digraphs(case):
     assert got.rounds == len(counts) - 1
     assert got.class_counts == tuple(counts)
     assert first_occurrence(got.final.colors) == first_occurrence(c.colors)
+
+
+def _assert_wl2_ids_match_all_pairs(dg):
+    """The structural coloring equals the one from edge queries, and every
+    round from it to the fixed point has the ids of the round over all
+    pairs."""
+    c = initial_pair_coloring(dg)
+    assert c.colors == initial_pair_coloring_oracle(dg).colors
+    while True:
+        stepped = wl2_step(c)
+        assert stepped.colors == wl2_step_all_pairs(c).colors
+        if stepped.class_count == c.class_count:
+            return
+        c = stepped
+
+
+@given(colored_digraphs(max_n=8))
+@example((DiGraph.from_edges(0, []), VertexColoring(0, ())))
+@example((DiGraph.from_edges(1, []), VertexColoring(1, (0,))))
+@example((DiGraph.from_edges(2, [(0, 1)]), VertexColoring(2, (0, 0))))
+def test_wl2_step_ids_equal_all_pairs_round_on_digraphs(case):
+    _assert_wl2_ids_match_all_pairs(case[0])
+
+
+@pytest.mark.parametrize("group", ["Z2xZ8", "Z2xZ2xZ4", "Z3xZ3", "Z4xZ4"])
+def test_wl2_step_ids_equal_all_pairs_round_on_cayley_digraphs(group):
+    """Seeded connection sets, mostly not closed under negation, so many
+    pairs and their transposes differ in color."""
+    spec = parse_group_spec(group)
+    rng = random.Random(group)
+    for _ in range(12):
+        con = tuple(s for s in range(1, spec.order) if rng.random() < 0.4)
+        _assert_wl2_ids_match_all_pairs(build_cayley(spec, con))
+
+
+def test_wl2_step_rejects_coloring_not_closed_under_transposition():
+    # (0, 1) and (0, 2) share color 1, their transposes have colors 2 and 1
+    c = PairColoring(3, (0, 1, 1, 2, 0, 1, 1, 1, 0))
+    with pytest.raises(ValueError, match="pair coloring is not closed under transposition"):
+        wl2_step(c)
 
 
 @given(colored_digraphs(max_n=7), st.data())
