@@ -3,12 +3,12 @@ procedure for the Tinhofer property, and canonical labeling for prime-order
 circulant graphs.
 
 The property search prunes the choice tree to one representative per orbit of
-the color-preserving automorphism group and memoizes verdicts per stable
-coloring; both reductions preserve the all-leaves verdict, since relabeling
-either copy by a color-preserving automorphism maps failing runs to failing
-runs.  Without them the full pair enumeration is hopeless already for
-complete graphs of modest size.  The orbits are memoized per partition of a
-copy, which is all they depend on.
+the color-preserving automorphism group and skips every node (a pair of stable
+copy colorings) whose subtree it has finished; both reductions preserve the
+all-leaves verdict, since relabeling either copy by a color-preserving
+automorphism maps failing runs to failing runs.  Without them the full pair
+enumeration is hopeless already for complete graphs of modest size.  The
+orbits are memoized per partition of a copy, which is all they depend on.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
-from typing import Any, Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .groups import GroupSpec, is_prime
 from .partition import dense_rank, label_classes, rank_signatures
@@ -103,27 +103,31 @@ def color_bijections(
             steps.append((root, -1, True))
             spread(deque((root,)))
 
-    def dfs(k: int) -> bool:
-        if k == len(steps):
-            return True
+    # tried[k]: candidates tried at level k; a resumed level first undoes its placement
+    depth, k = len(steps), 0
+    tried = [0] * depth
+    while 0 <= k < depth:
         v, u, forward = steps[k]
+        if tried[k]:
+            placed.discard(v)
+            image.discard(mapping[v])
         if u < 0:
             candidates = pool.get(colors_a[v], ())
         else:
             candidates = (b.out_neighbors if forward else b.in_neighbors)[mapping[u]]
-        for w in candidates:
-            if w in image or not consistent(v, w):
-                continue
-            mapping[v] = w
-            placed.add(v)
-            image.add(w)
-            if dfs(k + 1):
-                return True
-            placed.discard(v)
-            image.discard(w)
-        return False
-
-    return tuple(mapping) if dfs(0) else None
+        for i in range(tried[k], len(candidates)):
+            w = candidates[i]
+            if w not in image and consistent(v, w):
+                tried[k] = i + 1
+                mapping[v] = w
+                placed.add(v)
+                image.add(w)
+                k += 1
+                break
+        else:
+            tried[k] = 0
+            k -= 1
+    return tuple(mapping) if k == depth else None
 
 
 def coloring_orbits(dg: DiGraph, colors: Sequence[int]) -> tuple[int, ...]:
@@ -164,32 +168,21 @@ def coloring_orbits(dg: DiGraph, colors: Sequence[int]) -> tuple[int, ...]:
 # Tinhofer procedure
 # ---------------------------------------------------------------------------
 
-def _repeated(ascending: Sequence[int]) -> list[int]:
-    """The colors held twice or more in an ascending color list, ascending:
-    a repeated color sits next to itself."""
-    return list(dict.fromkeys(c for c, d in zip(ascending, ascending[1:]) if c == d))
+def _eligible(c_g: Sequence[int], c_h: Sequence[int]) -> Optional[list[int]]:
+    """The leaf rule on a stable coloring of a disjoint union, given by its
+    copies' colors: None when their color multisets differ, else the colors
+    held twice or more per copy, ascending; an empty list is a leaf.
 
-
-def _judge(dg: DiGraph, colors: Sequence[int]) -> tuple[str, Any]:
-    """Judge a stable coloring of the disjoint union of dg and a second copy:
-    ``("mismatch", None)`` when the copies' color multisets differ,
-    ``("split", colors)`` with the colors held by two or more vertices per
-    copy, ascending, else ``("leaf", perm)`` with the color-matching
-    bijection dg -> copy.
-
-    A leaf's bijection is an isomorphism: partners share a color, so in a
-    stable coloring their in-neighbors' color multisets are equal, and with
-    every color held once per copy the bijection maps in(v) onto in(perm v).
+    A leaf's color-matching bijection is an isomorphism: partners share a
+    color, so in a stable coloring their in-neighbors' color multisets are
+    equal, and with every color held once per copy the bijection maps in(v)
+    onto in(perm v).
     """
-    n = dg.n
-    sorted_g = sorted(colors[:n])
-    if sorted_g != sorted(colors[n:]):
-        return "mismatch", None
-    eligible = _repeated(sorted_g)
-    if eligible:
-        return "split", eligible
-    where_h = {c: w for w, c in enumerate(colors[n:])}
-    return "leaf", tuple(where_h[c] for c in colors[:n])
+    ascending = sorted(c_g)
+    if ascending != sorted(c_h):
+        return None
+    # a repeated color sits next to itself
+    return list(dict.fromkeys(c for c, d in zip(ascending, ascending[1:]) if c == d))
 
 
 @dataclass(frozen=True)
@@ -204,7 +197,7 @@ def tinhofer_iso_test(g: Graph, h: Graph) -> IsoResult:
     refining each copy alone (see :func:`_refine_copy`).
 
     A stable coloring holding every color once per copy yields the
-    color-matching bijection, an isomorphism (see :func:`_judge`), as the
+    color-matching bijection, an isomorphism (see :func:`_eligible`), as the
     witness; copies whose color multisets differ are non-isomorphic.
     Individualized vertices are chosen canonically: least eligible color
     id, least vertex index in each copy.
@@ -213,14 +206,15 @@ def tinhofer_iso_test(g: Graph, h: Graph) -> IsoResult:
     c_g, certificate_g = _refine_copy(dg, (0,) * dg.n)
     c_h, certificate_h = _refine_copy(dh, (0,) * dh.n)
     history: tuple[tuple[int, int], ...] = ()
-    # equal certificates can still hide unequal multiplicities, which _judge sees
+    # equal certificates can still hide unequal multiplicities, which _eligible sees
     while certificate_g == certificate_h:
-        kind, found = _judge(dg, c_g + c_h)
-        if kind == "leaf":
-            return IsoResult("isomorphic", found, history)
-        if kind == "mismatch":
+        eligible = _eligible(c_g, c_h)
+        if eligible is None:
             break
-        v, w = c_g.index(found[0]), c_h.index(found[0])
+        if not eligible:
+            where_h = dict(zip(c_h, range(dh.n)))
+            return IsoResult("isomorphic", tuple(map(where_h.__getitem__, c_g)), history)
+        v, w = c_g.index(eligible[0]), c_h.index(eligible[0])
         c_g, certificate_g = _refine_copy(dg, c_g, v)
         c_h, certificate_h = _refine_copy(dh, c_h, w)
         history += ((v, w),)
@@ -234,12 +228,11 @@ class TinhoferReport:
     nodes: int
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
 # a copy run: final colors, and the sorted distinct signatures of each round
 _CopyRun = tuple[tuple[int, ...], list[list[tuple[int, ...]]]]
+# a search node, the stable colorings of both copies, and a choice sequence
+_Node = tuple[tuple[int, ...], tuple[int, ...]]
+_Choices = tuple[tuple[int, int], ...]
 
 
 def _refine_copy(dg: DiGraph, colors: tuple[int, ...], v: Optional[int] = None) -> _CopyRun:
@@ -280,19 +273,19 @@ def has_tinhofer_property(g: Graph, budget: int = 1_000_000) -> TinhoferReport:
     the graph itself: at every stable non-discrete coloring, every eligible
     color class and every orbit-distinct cross-copy pair is tried, and the
     two copies' color multisets must never diverge.  Every leaf induces an
-    automorphism (see :func:`_judge`), so a divergence is the only failure.
+    automorphism (see :func:`_eligible`), so a divergence is the only failure.
 
     Returns the first failing choice sequence as a certificate.  The choice
     tree is explored depth-first in canonical order, so the reported
-    certificate is the least one among orbit representatives.  A child is
-    refined copy by copy (see :func:`_refine_copy`), each copy once per
-    individualized vertex at its node.
+    certificate is the least one among orbit representatives.  A node is
+    the pair of stable copy colorings; a child is refined copy by copy (see
+    :func:`_refine_copy`), each copy once per individualized vertex at its
+    node.  A failure ends the search, so every node whose children are all
+    done holds no failure below it, and a later visit skips it.
     """
     dg = as_digraph(g)
     n = dg.n
-    nodes = 0
-    # a failure is its choice sequence; None when no run below fails
-    memo: dict[tuple[int, ...], Optional[tuple[tuple[int, int], ...]]] = {}
+    finished: set[_Node] = set()
     orbit_memo: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def orbits(copy_colors: tuple[int, ...]) -> tuple[int, ...]:
@@ -305,19 +298,18 @@ def has_tinhofer_property(g: Graph, budget: int = 1_000_000) -> TinhoferReport:
             orbit_memo[key] = coloring_orbits(dg, copy_colors)
         return orbit_memo[key]
 
-    def judge(colors: tuple[int, ...]) -> Optional[tuple[tuple[int, int], ...]]:
-        """The first failure below a stable union coloring, or None.  One
-        vertex per orbit is tried in each copy: the least, which labels its
-        orbit."""
-        kind, found = _judge(dg, colors)
-        if kind != "split":
-            return () if kind == "mismatch" else None
-        c_g, c_h = colors[:n], colors[n:]
+    def children(
+        prefix: _Choices, c_g: tuple[int, ...], c_h: tuple[int, ...], eligible: list[int]
+    ) -> Iterator[tuple[_Choices, Optional[_Node]]]:
+        """The children of a splitting node in canonical order, each with
+        its choice sequence; None stands for a child whose copy
+        certificates differ, a color-multiset mismatch.  One vertex per
+        orbit is tried in each copy: the least, which labels its orbit."""
         orbit_g, orbit_h = orbits(c_g), orbits(c_h)
-        # copy runs by individualized vertex, shared when the halves agree
+        # copy runs by individualized vertex, shared when the copies agree
         runs_g: dict[int, _CopyRun] = {}
         runs_h = runs_g if c_g == c_h else {}
-        for color in found:
+        for color in eligible:
             vs = [v for v in range(n) if c_g[v] == color and orbit_g[v] == v]
             ws = [w for w in range(n) if c_h[w] == color and orbit_h[w] == w]
             for v, w in product(vs, ws):
@@ -327,36 +319,39 @@ def has_tinhofer_property(g: Graph, budget: int = 1_000_000) -> TinhoferReport:
                     runs_h[w] = _refine_copy(dg, c_h, w)
                 final_g, certificate_g = runs_g[v]
                 final_h, certificate_h = runs_h[w]
-                sub = explore(final_g + final_h if certificate_g == certificate_h else None)
-                if sub is not None:
-                    return ((v, w),) + sub
-        return None
+                child = (final_g, final_h) if certificate_g == certificate_h else None
+                yield prefix + ((v, w),), child
+        finished.add((c_g, c_h))
 
-    def explore(colors: Optional[tuple[int, ...]]) -> Optional[tuple[tuple[int, int], ...]]:
-        """Visit a stable union coloring; None stands for a child whose copy
-        certificates differ, a color-multiset mismatch."""
-        nonlocal nodes
+    root = _refine_copy(dg, (0,) * n)[0]
+    stack = [iter([((), (root, root))])]
+    nodes = 0
+    while stack:
+        visit = next(stack[-1], None)
+        if visit is None:
+            stack.pop()
+            continue
+        choices, node = visit
         nodes += 1
         if nodes > budget:
-            raise _BudgetExceeded
-        if colors is None:
-            return ()
-        if colors not in memo:
-            memo[colors] = judge(colors)
-        return memo[colors]
-
-    try:
-        failure = explore(2 * _refine_copy(dg, (0,) * n)[0])
-    except _BudgetExceeded:
-        return TinhoferReport("budget-exceeded", None, nodes)
-    if failure is None:
-        return TinhoferReport("true", None, nodes)
-    return TinhoferReport("false", failure, nodes)
+            return TinhoferReport("budget-exceeded", None, nodes)
+        if node in finished:
+            continue
+        eligible = None if node is None else _eligible(*node)
+        if eligible is None:
+            return TinhoferReport("false", choices, nodes)
+        if eligible:
+            stack.append(children(choices, *node, eligible))
+    return TinhoferReport("true", None, nodes)
 
 
 # ---------------------------------------------------------------------------
 # canonical labeling for prime-order circulants
 # ---------------------------------------------------------------------------
+
+# code and refinement both grow as p^2: canon Z2039:1,2038 takes 7 s and 166 MB
+CANON_LIMIT = 2048
+
 
 @dataclass(frozen=True)
 class CanonicalForm:
@@ -376,7 +371,7 @@ class CanonicalForm:
     def hex(self) -> str:
         """Code as lowercase hex; bits padded with trailing zeros to a nibble."""
         bits = self.code + "0" * (-len(self.code) % 4)
-        return "".join(f"{int(bits[i:i + 4], 2):x}" for i in range(0, len(bits), 4))
+        return f"{int(bits, 2):0{len(bits) // 4}x}" if bits else ""
 
 
 def canonical_form_prime_circulant(spec: GroupSpec, con: Iterable[int]) -> CanonicalForm:
@@ -387,10 +382,13 @@ def canonical_form_prime_circulant(spec: GroupSpec, con: Iterable[int]) -> Canon
     vertex order sorts by final color id.  Any vertex of the class gives the
     same code, as the automorphisms act transitively on color classes.
     Edgeless and complete graphs never refine and take the identity order.
+    Orders above :data:`CANON_LIMIT` are rejected before the graph is built.
     """
     if len(spec.moduli) != 1 or not is_prime(spec.order):
         raise ValueError(f"canonical labeling requires a prime-order cyclic group, got {spec}")
     p = spec.order
+    if p > CANON_LIMIT:
+        raise ValueError(f"canon limited to groups of order at most {CANON_LIMIT}, got {p}")
     dg = build_cayley(spec, con)
 
     def labeled(order: tuple[int, ...]) -> CanonicalForm:
@@ -402,7 +400,7 @@ def canonical_form_prime_circulant(spec: GroupSpec, con: Iterable[int]) -> Canon
         return labeled(tuple(range(p)))
     colors = _refine_copy(dg, (0,) * p)[0]
     for depth in range(3):
-        repeated = _repeated(sorted(colors))
+        repeated = _eligible(colors, colors)
         if not repeated:
             return labeled(tuple(sorted(range(p), key=colors.__getitem__)))
         if depth == 2:

@@ -573,6 +573,22 @@ def disjoint_union(a: DiGraph, b: DiGraph) -> DiGraph:
     return DiGraph.from_out_lists(a.out_neighbors + tuple(shifted))
 
 
+def union_judge(n: int, colors: Sequence[int]) -> tuple[str, object]:
+    """Judge a stable coloring of a 2n-vertex disjoint union whose second
+    copy follows the first: ``("mismatch", None)`` when the copies' color
+    multisets differ, ``("split", colors)`` with the colors held by two or
+    more vertices per copy, ascending, else ``("leaf", perm)`` with the
+    color-matching bijection from the first copy to the second."""
+    counts = Counter(colors[:n])
+    if counts != Counter(colors[n:]):
+        return "mismatch", None
+    repeated = sorted(c for c, k in counts.items() if k > 1)
+    if repeated:
+        return "split", repeated
+    where = {c: w for w, c in enumerate(colors[n:])}
+    return "leaf", tuple(where[c] for c in colors[:n])
+
+
 def tinhofer_iso_test_oracle(g, h) -> IsoResult:
     """The isomorphism procedure refining the whole union G ⊎ H with
     ``cr_stabilize`` after every individualized pair: the oracle for
@@ -585,7 +601,7 @@ def tinhofer_iso_test_oracle(g, h) -> IsoResult:
     history: tuple[tuple[int, int], ...] = ()
     while True:
         stable = cr_stabilize(union, coloring).final
-        kind, found = tinhofer._judge(dg, stable.colors)
+        kind, found = union_judge(n, stable.colors)
         if kind == "mismatch":
             return IsoResult("non-isomorphic", None, history)
         if kind == "leaf":
@@ -622,7 +638,7 @@ def tinhofer_search_oracle(g, budget: int = 1_000_000) -> TinhoferReport:
 
     def judge(stable):
         colors = stable.colors
-        kind, found = tinhofer._judge(dg, colors)
+        kind, found = union_judge(n, colors)
         if kind != "split":
             return () if kind == "mismatch" else None
         c_g, c_h = colors[:n], colors[n:]

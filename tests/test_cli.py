@@ -4,9 +4,11 @@ from itertools import combinations
 
 import pytest
 
+import cayleywl.tinhofer
 import cayleywl.wl
 from cayleywl.cli import build_parser, main
 from cayleywl.groups import GroupSpec
+from cayleywl.tinhofer import CANON_LIMIT
 from cayleywl.wl import WL2_LIMIT
 
 
@@ -137,6 +139,14 @@ def test_tinhofer_check_false(capsys):
     assert payload["certificate"][0] == [0, 0]
 
 
+def test_tinhofer_check_long_directed_cycle(capsys):
+    """The directed 1 200-cycle: the orbit query places 1 199 vertices one
+    after another, more levels than the default recursion limit allows
+    frames, and the search answers in 2 nodes."""
+    payload = '{"certificate": null, "nodes": 2, "property": true, "status": "true"}\n'
+    assert run(capsys, "tinhofer-check", "Z1200:1") == (0, payload, "")
+
+
 def test_malformed_graph_usage_error(capsys):
     code, _, err = run(capsys, "wl2", "Z9:1,99")
     assert code == 1
@@ -260,6 +270,27 @@ def test_wl2_rejects_graphs_above_its_size_limit(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "wl2", str(path))
     assert (code, colored) == (1, [256])
     assert "stopped at the initial pair coloring" in err
+
+
+def test_canon_rejects_orders_above_its_size_limit(capsys, monkeypatch):
+    """Z2053, the least prime above the limit, exits 1 before the graph is
+    built; Z2039, the greatest prime below it, gets past the guard (stopped
+    here at building the graph)."""
+    built = []
+
+    def stopped(spec, con):
+        built.append(spec.order)
+        raise ValueError("stopped at build_cayley")
+
+    monkeypatch.setattr(cayleywl.tinhofer, "build_cayley", stopped)
+    assert CANON_LIMIT == 2048
+    assert run(capsys, "canon", "Z2053:1,2052") == (
+        1, "", "cayleywl: canon limited to groups of order at most 2048, got 2053\n"
+    )
+    assert built == []
+    code, _, err = run(capsys, "canon", "Z2039:1,2038")
+    assert (code, built) == (1, [2039])
+    assert "stopped at build_cayley" in err
 
 
 def test_counterexample_exits_two_with_diff(capsys):

@@ -1,6 +1,8 @@
 import contextlib
 import hashlib
+import inspect
 import random
+import sys
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -16,7 +18,7 @@ from cayleywl import (
 )
 from cayleywl import tinhofer
 from cayleywl.partition import label_classes
-from cayleywl.tinhofer import color_bijections, coloring_orbits
+from cayleywl.tinhofer import CanonicalForm, TinhoferReport, color_bijections, coloring_orbits
 from cayleywl.wl import DiGraph, build_cayley, cr_stabilize
 import invariants
 from invariants import (
@@ -29,6 +31,7 @@ from invariants import (
     tinhofer_iso_test_oracle,
     tinhofer_search_oracle,
     transposed_in_neighbors,
+    union_judge,
 )
 
 Z7 = GroupSpec((7,))
@@ -277,6 +280,9 @@ def test_canonical_form_hex():
     form = canonical_form_prime_circulant(GroupSpec((2,)), (1,))
     assert form.code == "0110"
     assert form.hex == "6"
+    # leading zero nibbles are kept, trailing bits pad to a nibble
+    assert CanonicalForm((1, 0, 2), "000000001").hex == "008"
+    assert CanonicalForm((), "").hex == ""
 
 
 def test_oracle_identity():
@@ -321,6 +327,33 @@ def test_color_bijections_respect_forced_pairs():
     assert color_bijections(cycle, cycle, colors, colors, 1, 1) == tuple(range(7))
     assert color_bijections(cycle, cycle, colors, colors, 1, 2) is None
     assert color_bijections(cycle, cycle, colors, colors, 0, 1) is None
+
+
+def test_color_bijections_place_a_long_cycle():
+    """The directed 1 200-cycle with 0 -> 1 forced: 1 199 placements in a
+    row, more levels than the default recursion limit has frames."""
+    n = 1200
+    cycle = build_cayley(GroupSpec((n,)), (1,))
+    zeros = (0,) * n
+    assert color_bijections(cycle, cycle, zeros, zeros, 0, 1) == tuple((v + 1) % n for v in range(n))
+
+
+def test_search_runs_under_a_low_recursion_limit(monkeypatch):
+    """200 disjoint directed triangles with every vertex its own orbit: the
+    first path individualizes one vertex per triangle, 200 levels down to a
+    leaf, which the budget lets through and then stops the search.  The
+    recursion limit leaves 50 frames above the test's own."""
+    triangles = 200
+    n = 3 * triangles
+    dg = DiGraph.from_edges(n, [(v, v - v % 3 + (v + 1) % 3) for v in range(n)])
+    monkeypatch.setattr(tinhofer, "coloring_orbits", lambda dg, colors: tuple(range(dg.n)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        report = has_tinhofer_property(dg, budget=triangles + 1)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert report == TinhoferReport("budget-exceeded", None, triangles + 2)
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +616,7 @@ def test_tinhofer_search_tree_is_pinned(
     that tries every pair makes exactly one copy run per distinct (copy
     coloring, vertex) of each node."""
     queried, orbits_of, split, runs = [], {}, [], []
-    judge = tinhofer._judge
+    eligible_of = tinhofer._eligible
     refine_copy = tinhofer._refine_copy
 
     def counted_orbits(dg, colors):
@@ -591,11 +624,11 @@ def test_tinhofer_search_tree_is_pinned(
         orbits_of[queried[-1]] = coloring_orbits(dg, colors)
         return orbits_of[queried[-1]]
 
-    def recorded_judge(dg, colors):
-        kind, found = judge(dg, colors)
-        if kind == "split":
-            split.append((dg.n, colors, found))
-        return kind, found
+    def recorded_eligible(c_g, c_h):
+        found = eligible_of(c_g, c_h)
+        if found:
+            split.append((c_g, c_h, found))
+        return found
 
     def counted_refine_copy(dg, colors, v=None):
         # the root is one run with no vertex individualized
@@ -604,19 +637,19 @@ def test_tinhofer_search_tree_is_pinned(
         return refine_copy(dg, colors, v)
 
     monkeypatch.setattr(tinhofer, "coloring_orbits", counted_orbits)
-    monkeypatch.setattr(tinhofer, "_judge", recorded_judge)
+    monkeypatch.setattr(tinhofer, "_eligible", recorded_eligible)
     monkeypatch.setattr(tinhofer, "_refine_copy", counted_refine_copy)
     report = has_tinhofer_property(CayleyGraph(GroupSpec(moduli), con))
     assert (report.status, report.nodes, report.certificate) == (status, nodes, certificate)
-    halves = {label_classes(half) for n, colors, _ in split for half in (colors[:n], colors[n:])}
+    halves = {label_classes(half) for c_g, c_h, _ in split for half in (c_g, c_h)}
     assert len(queried) == len(set(queried)) == len(halves) == orbit_calls
     tried = set()
     needed = 0
-    for n, colors, found in split:
+    for c_g, c_h, found in split:
         keys = set()
-        for half in (colors[:n], colors[n:]):
+        for half in (c_g, c_h):
             orbit = orbits_of[label_classes(half)]
-            keys.update((half, v) for v in range(n) if half[v] in found and orbit[v] == v)
+            keys.update((half, v) for v in range(len(half)) if half[v] in found and orbit[v] == v)
         tried |= keys
         needed += len(keys)
     # every pair is tried below a true verdict; a failure ends the search early
@@ -630,18 +663,20 @@ def test_tinhofer_search_tree_is_pinned(
 
 @contextlib.contextmanager
 def _leaf_bijections():
-    """Collect every leaf bijection _judge returns inside the block."""
+    """Collect the color-matching bijection of every leaf _eligible judges
+    inside the block."""
     leaves = []
-    judge = tinhofer._judge
+    eligible_of = tinhofer._eligible
 
-    def recorded_judge(dg, colors):
-        kind, found = judge(dg, colors)
-        if kind == "leaf":
-            leaves.append(found)
-        return kind, found
+    def recorded_eligible(c_g, c_h):
+        found = eligible_of(c_g, c_h)
+        if found == []:
+            where_h = {c: w for w, c in enumerate(c_h)}
+            leaves.append(tuple(where_h[c] for c in c_g))
+        return found
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(tinhofer, "_judge", recorded_judge)
+        patch.setattr(tinhofer, "_eligible", recorded_eligible)
         yield leaves
 
 
@@ -700,7 +735,7 @@ def test_leaf_bijections_are_isomorphisms_on_individualized_cayley_graphs(case, 
         coloring = individualize(cr_stabilize(union, coloring).final, v, n + pi[t])
     while True:
         stable = cr_stabilize(union, coloring).final
-        kind, found = tinhofer._judge(dg, stable.colors)
+        kind, found = union_judge(n, stable.colors)
         if kind != "split":
             break
         first = stable.colors.index(found[0])
