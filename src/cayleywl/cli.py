@@ -22,7 +22,7 @@ from .sweep import (
     EngineMismatch,
     SweepConfig,
     reproduce_counterexample,
-    run_sweep,
+    sweep_rows,
 )
 from .tinhofer import canonical_form_prime_circulant, has_tinhofer_property, individualize
 from .wl import (
@@ -181,24 +181,17 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
         cross_check=args.cross_check,
         jobs=args.jobs,
     )
-    records = run_sweep(cfg)
+    rows = sweep_rows(cfg)
     if args.format == "json":
-        rows = [
-            {
-                "n": r.n,
-                "set": r.set_mask,
-                "rounds": r.rounds,
-                "rounds_wl2": r.rounds_wl2,
-                "bound": r.bound,
-                "d": r.d,
-            }
-            for r in records
+        records = [
+            {"n": n, "set": f"0x{mask:x}", "rounds": r, "rounds_wl2": w, "bound": b, "d": d}
+            for n, mask, r, w, b, d in rows
         ]
-        return json.dumps(rows, sort_keys=True) + "\n"
+        return json.dumps(records, sort_keys=True) + "\n"
     lines = ["n,set,rounds,rounds_wl2,bound,d"]
-    for r in records:
-        wl2 = "" if r.rounds_wl2 is None else str(r.rounds_wl2)
-        lines.append(f"{r.n},{r.set_mask},{r.rounds},{wl2},{r.bound},{r.d}")
+    lines += [
+        f"{n},0x{mask:x},{r},{'' if w is None else w},{b},{d}" for n, mask, r, w, b, d in rows
+    ]
     return "\n".join(lines) + "\n"
 
 

@@ -36,6 +36,10 @@ _SEED_MIX = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 
 EXHAUSTIVE_LIMIT = 20
+# Order 20's 34 008 orbit representatives fill 532 pool tasks of 64 masks,
+# the most of any exhaustive order; workers beyond that would sit idle on the
+# algebraic path, and a pool starts every worker up front.
+JOBS_LIMIT = 512
 # a sampled mask is n - 1 bits of one 64-bit generator state
 SAMPLE_LIMIT = 65
 
@@ -119,8 +123,8 @@ class SweepConfig:
             raise ValueError("sampled mode requires a positive sample count")
         elif any(n > SAMPLE_LIMIT for n in self.n_values):
             raise ValueError(f"sampled mode limited to n <= {SAMPLE_LIMIT}")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
+        if not 1 <= self.jobs <= JOBS_LIMIT:
+            raise ValueError(f"jobs must be in 1..{JOBS_LIMIT}, got {self.jobs}")
 
 
 @dataclass(frozen=True)
@@ -210,18 +214,12 @@ def _cross_check(
     return wl_rounds
 
 
-def _bounded(record: SweepRecord) -> SweepRecord:
-    if record.rounds > record.bound:
-        raise BoundViolation(record)
-    return record
-
-
 def sweep_instance(n: int, mask: int, cross_check: bool = False) -> SweepRecord:
     """Stabilize one circulant instance on the algebraic path, optionally
     cross-checking round count and final partition against the pair-coloring
     engine: a one-mask orbit is its own representative, with multiplier 1."""
-    [record] = _sweep_order(n, [mask], cross_check, None)
-    return record
+    [(_, _, *result)] = _sweep_order(n, [mask], cross_check, None)
+    return SweepRecord(n, f"0x{mask:x}", *result)
 
 
 def _orbits(spec: GroupSpec, masks: Sequence[int]) -> tuple[list[int], dict[int, tuple[int, int]]]:
@@ -267,15 +265,16 @@ def _run(pool, work, spec: GroupSpec, masks: Sequence[int]) -> list[tuple[int, _
     return [result for part in pool.starmap(_in_worker, tasks) for result in part]
 
 
-def _sweep_order(n: int, masks: Sequence[int], cross_check: bool, pool) -> list[SweepRecord]:
-    """Records of one order: stabilize one mask per orbit and fan its result
-    out; cross-checks still run the pair engine on every mask."""
+def _sweep_order(n: int, masks: Sequence[int], cross_check: bool, pool) -> list[tuple]:
+    """Rows ``(n, mask, rounds, rounds_wl2, bound, d)`` of one order:
+    stabilize one mask per orbit and fan its result out; cross-checks still
+    run the pair engine on every mask."""
     spec = GroupSpec((n,))
     reps, orbit = _orbits(spec, masks)
     stable = _run(pool, _stable_modules, spec, reps)
     checks = _run(pool, _wl2_modules, spec, masks) if cross_check else None
     bound, d = round_bound(n), divisor_count(n)
-    records = []
+    rows = []
     for i, mask in enumerate(masks):
         slot, m = orbit[mask]
         rounds, classes = stable[slot]
@@ -283,12 +282,15 @@ def _sweep_order(n: int, masks: Sequence[int], cross_check: bool, pool) -> list[
         if checks is not None:
             final = scaled_partition(OrderedPartition(spec, classes), m)
             rounds_wl2 = _cross_check(n, mask, rounds, final, checks[i])
-        records.append(_bounded(SweepRecord(n, f"0x{mask:x}", rounds, rounds_wl2, bound, d)))
-    return records
+        if rounds > bound:
+            raise BoundViolation(SweepRecord(n, f"0x{mask:x}", rounds, rounds_wl2, bound, d))
+        rows.append((n, mask, rounds, rounds_wl2, bound, d))
+    return rows
 
 
-def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
-    """All instance records, ordered by (n, connection-set bitmask).
+def sweep_rows(cfg: SweepConfig) -> list[tuple]:
+    """All instance rows ``(n, mask, rounds, rounds_wl2, bound, d)``,
+    ordered by (n, connection-set bitmask).
 
     Each order stabilizes one connection set per multiplier/complement orbit
     and fans the result out to the orbit.  Raises BoundViolation on the
@@ -296,15 +298,20 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     for the first offending record; output is identical regardless of
     parallelism.
     """
-    records: list[SweepRecord] = []
+    rows: list[tuple] = []
     with multiprocessing.Pool(cfg.jobs) if cfg.jobs > 1 else nullcontext() as pool:
         for n in sorted(cfg.n_values):
             if cfg.sample_count is None:
                 masks = range(0, 1 << n, 2)
             else:
                 masks = sorted(sample_connection_masks(n, cfg.sample_count, cfg.seed))
-            records.extend(_sweep_order(n, masks, cfg.cross_check, pool))
-    return records
+            rows.extend(_sweep_order(n, masks, cfg.cross_check, pool))
+    return rows
+
+
+def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
+    """The records of :func:`sweep_rows`."""
+    return [SweepRecord(n, f"0x{mask:x}", *result) for n, mask, *result in sweep_rows(cfg)]
 
 
 # ---------------------------------------------------------------------------

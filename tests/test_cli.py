@@ -1,14 +1,17 @@
 import hashlib
 import json
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
+import cayleywl.sweep
 import cayleywl.tinhofer
 import cayleywl.wl
 from cayleywl.cli import build_parser, main
 from cayleywl.groups import GroupSpec
-from cayleywl.tinhofer import CANON_LIMIT
+from cayleywl.sweep import JOBS_LIMIT, SweepConfig, round_bound, run_sweep
+from cayleywl.tinhofer import CANON_LIMIT, TINHOFER_LIMIT
 from cayleywl.wl import WL2_LIMIT
 
 
@@ -147,6 +150,26 @@ def test_tinhofer_check_long_directed_cycle(capsys):
     assert run(capsys, "tinhofer-check", "Z1200:1") == (0, payload, "")
 
 
+def test_tinhofer_check_rejects_graphs_above_its_size_limit(capsys, monkeypatch):
+    """Z2049:1 exits 1 before its digraph is built; Z2048:1 gets past the
+    guard (stopped here at building the digraph)."""
+    built = []
+
+    def stopped(spec, con):
+        built.append(spec.order)
+        raise ValueError("stopped at build_cayley")
+
+    monkeypatch.setattr(cayleywl.wl, "build_cayley", stopped)
+    assert TINHOFER_LIMIT == 2048
+    assert run(capsys, "tinhofer-check", "Z2049:1") == (
+        1, "", "cayleywl: tinhofer-check limited to at most 2048 vertices, got 2049\n"
+    )
+    assert built == []
+    code, _, err = run(capsys, "tinhofer-check", "Z2048:1")
+    assert (code, built) == (1, [2048])
+    assert "stopped at build_cayley" in err
+
+
 def test_malformed_graph_usage_error(capsys):
     code, _, err = run(capsys, "wl2", "Z9:1,99")
     assert code == 1
@@ -210,6 +233,107 @@ def test_sweep_jobs_do_not_change_output(capsys):
     _, out1, _ = run(capsys, *base)
     _, out2, _ = run(capsys, *base, "--jobs", "2")
     assert out1 == out2
+
+
+def sweep_csv(records) -> str:
+    lines = ["n,set,rounds,rounds_wl2,bound,d"]
+    for r in records:
+        wl2 = "" if r.rounds_wl2 is None else r.rounds_wl2
+        lines.append(",".join(map(str, (r.n, r.set_mask, r.rounds, wl2, r.bound, r.d))))
+    return "".join(line + "\n" for line in lines)
+
+
+def sweep_json(records) -> str:
+    rows = [
+        {"n": r.n, "set": r.set_mask, "rounds": r.rounds, "rounds_wl2": r.rounds_wl2,
+         "bound": r.bound, "d": r.d}
+        for r in records
+    ]
+    return json.dumps(rows, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, cfg",
+    [
+        (["--n-min", "2", "--n-max", "11"], SweepConfig(tuple(range(2, 12)))),
+        (
+            ["--n-min", "11", "--n-max", "16", "--sample", "50", "--seed", "7", "--cross-check"],
+            SweepConfig(tuple(range(11, 17)), sample_count=50, seed=7, cross_check=True),
+        ),
+        (
+            ["--n-min", "2", "--n-max", "9", "--cross-check", "--jobs", "2"],
+            SweepConfig(tuple(range(2, 10)), cross_check=True, jobs=2),
+        ),
+    ],
+    ids=["exhaustive", "sampled-cross-check", "jobs-2"],
+)
+def test_sweep_output_formats_run_sweep_records(capsys, argv, cfg):
+    records = run_sweep(cfg)
+    assert run(capsys, "sweep", *argv) == (0, sweep_csv(records), "")
+    assert run(capsys, "sweep", *argv, "--format", "json") == (0, sweep_json(records), "")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_builds_no_records(capsys, monkeypatch, fmt):
+    """The CLI formats the sweep's rows; records are built for run_sweep
+    callers only."""
+
+    def no_record(*args):
+        raise AssertionError("SweepRecord built")
+
+    monkeypatch.setattr(cayleywl.sweep, "SweepRecord", no_record)
+    for argv in (
+        ["--n-min", "2", "--n-max", "11"],
+        ["--n-min", "11", "--n-max", "13", "--sample", "20", "--seed", "7", "--cross-check"],
+    ):
+        code, out, err = run(capsys, "sweep", *argv, "--format", fmt)
+        assert code == 0 and out and err == ""
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_bound_violation_exits_two(capsys, monkeypatch, jobs):
+    monkeypatch.setattr(cayleywl.sweep, "round_bound", lambda n: 1 if n >= 8 else round_bound(n))
+    assert run(capsys, "sweep", "--n-min", "2", "--n-max", "10", "--jobs", jobs) == (
+        2, "", "cayleywl: round bound violated: n=8 set=0x2 rounds=2 > bound=1\n"
+    )
+
+
+def test_sweep_engine_disagreement_exits_two(capsys, monkeypatch):
+    """The pair engine is made to disagree on 0x102 = {1, 8} of Z9 alone,
+    whose module result is fanned out from its orbit's representative."""
+    pair_engine = cayleywl.sweep.wl2_stabilize
+
+    def skewed(g):
+        trace = pair_engine(g)
+        if g.n == 9 and g.out_neighbors[0] == (1, 8):
+            return replace(trace, rounds=trace.rounds + 1)
+        return trace
+
+    monkeypatch.setattr(cayleywl.sweep, "wl2_stabilize", skewed)
+    assert run(capsys, "sweep", "--n-min", "2", "--n-max", "10", "--cross-check") == (
+        2, "", "cayleywl: engine disagreement at n=9 set=0x102: rounds 3 (pair) vs 2 (module)\n"
+    )
+
+
+def test_sweep_jobs_limit(capsys, monkeypatch):
+    """Job counts outside 1..JOBS_LIMIT exit 1 before any pool exists;
+    JOBS_LIMIT itself gets past the check (stopped here at the pool)."""
+    pools = []
+
+    def stopped(processes):
+        pools.append(processes)
+        raise OSError("stopped at Pool")
+
+    monkeypatch.setattr(cayleywl.sweep.multiprocessing, "Pool", stopped)
+    base = ("sweep", "--n-min", "2", "--n-max", "3", "--jobs")
+    assert JOBS_LIMIT == 512
+    for jobs in (JOBS_LIMIT + 1, 100_000, 0):
+        assert run(capsys, *base, str(jobs)) == (
+            1, "", f"cayleywl: jobs must be in 1..512, got {jobs}\n"
+        )
+    assert pools == []
+    assert run(capsys, *base, str(JOBS_LIMIT)) == (1, "", "cayleywl: stopped at Pool\n")
+    assert pools == [JOBS_LIMIT]
 
 
 def test_sweep_sampled_requires_seed(capsys):

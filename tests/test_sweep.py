@@ -10,6 +10,7 @@ from cayleywl.sweep import (
     CounterexampleMismatch,
     EngineMismatch,
     EXPECTED_COUNTEREXAMPLE_ROUNDS,
+    JOBS_LIMIT,
     SAMPLE_LIMIT,
     SweepConfig,
     SweepRecord,
@@ -80,6 +81,10 @@ def test_config_validation():
         SweepConfig(n_values=(21,))
     with pytest.raises(ValueError):
         SweepConfig(n_values=(11,), sample_count=5)
+    assert SweepConfig(n_values=(3,), jobs=JOBS_LIMIT).jobs == JOBS_LIMIT
+    for jobs in (0, JOBS_LIMIT + 1):
+        with pytest.raises(ValueError, match=f"jobs must be in 1..{JOBS_LIMIT}, got {jobs}"):
+            SweepConfig(n_values=(3,), jobs=jobs)
 
 
 def test_sweep_instance_z9_example():

@@ -195,6 +195,12 @@ def test_tinhofer_budget():
     assert report.nodes > 3
 
 
+def test_tinhofer_property_rejects_digraphs_above_its_size_limit():
+    edgeless = DiGraph.from_out_lists([()] * (tinhofer.TINHOFER_LIMIT + 1))
+    with pytest.raises(ValueError, match="limited to at most 2048 vertices, got 2049"):
+        has_tinhofer_property(edgeless)
+
+
 def test_coloring_orbits_vertex_transitive():
     g = build_cayley(Z7, (1, 6))
     orbits = coloring_orbits(g, (0,) * 7)
