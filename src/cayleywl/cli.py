@@ -14,8 +14,8 @@ from typing import Optional, Sequence
 
 from .groups import is_prime
 from .group_ring import stabilize_refine
-from .partition import classes_text
-from .spectral import eigenvalue_classes, numeric_spectrum, stabilizer_subgroup
+from .partition import OrderedPartition, RefinementTrace, classes_text
+from .spectral import SPECTRUM_LIMIT, eigenvalue_classes, numeric_spectrum, stabilizer_subgroup
 from .sweep import (
     BoundViolation,
     CounterexampleMismatch,
@@ -29,7 +29,6 @@ from .wl import (
     CayleyGraph,
     Graph,
     GraphFormatError,
-    induced_smodule,
     initial_cayley_smodule,
     parse_adjacency,
     parse_cayley_graph,
@@ -73,14 +72,21 @@ def _rounds_text(fmt: str, rounds: int, key: str, value: object, shown: object) 
     return f"rounds: {rounds}, {key.replace('_', '-')}: {shown}\n"
 
 
+def _smodule_trace(g: CayleyGraph) -> tuple[OrderedPartition, RefinementTrace]:
+    """Structural partition of Cay(G, con) and its ``refine`` trace, 2-WL's on the
+    descriptor; the table is read first, so larger groups exit before any list."""
+    g.spec.addition_table
+    initial = initial_cayley_smodule(g.spec, g.con)
+    return initial, stabilize_refine(initial)
+
+
 def _cmd_wl2(args: argparse.Namespace) -> str:
     g = _load_graph(args.graph)
-    trace = wl2_stabilize(g)
     if isinstance(g, CayleyGraph):
-        module = induced_smodule(trace.final, g.spec)
-        return _rounds_text(
-            args.format, trace.rounds, "classes", module.classes, module.to_text()
-        )
+        trace = _smodule_trace(g)[1]
+        stable = trace.final
+        return _rounds_text(args.format, trace.rounds, "classes", stable.classes, stable.to_text())
+    trace = wl2_stabilize(g)
     count = trace.final.class_count
     return _rounds_text(args.format, trace.rounds, "pair_classes", count, count)
 
@@ -100,8 +106,7 @@ def _cmd_smodule(args: argparse.Namespace) -> str:
     g = _load_graph(args.graph)
     if not isinstance(g, CayleyGraph):
         raise GraphFormatError("smodule needs a Cayley graph input", 0)
-    initial = initial_cayley_smodule(g.spec, g.con)
-    trace = stabilize_refine(initial)
+    initial, trace = _smodule_trace(g)
     if args.format == "json":
         return json.dumps(
             {
@@ -130,6 +135,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> str:
     p = g.spec.order
     if not is_prime(p):
         raise GraphFormatError(f"spectrum needs prime order, got {p}", 0)
+    if p > SPECTRUM_LIMIT:
+        raise ValueError(f"spectrum limited to groups of order at most {SPECTRUM_LIMIT}, got {p}")
     sd = stabilizer_subgroup(p, g.con)
     classes = eigenvalue_classes(sd)
     values = numeric_spectrum(sd)

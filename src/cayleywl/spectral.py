@@ -15,6 +15,9 @@ from typing import Iterable, Sequence
 from .groups import GroupSpec, connection_set, is_prime, multiplier_orbits
 from .partition import OrderedPartition
 
+# stabilizer and spectrum take p * |con| steps: the complete graph on Z2039 takes 3.2 s
+SPECTRUM_LIMIT = 2048
+
 
 @dataclass(frozen=True)
 class StabilizerData:

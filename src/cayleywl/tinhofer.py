@@ -315,10 +315,10 @@ def has_tinhofer_property(g: Graph, budget: int = 1_000_000) -> TinhoferReport:
         certificates differ, a color-multiset mismatch.  One vertex per
         orbit is tried in each copy: the least, which labels its orbit."""
         orbit_g, orbit_h = orbits(c_g), orbits(c_h)
-        # copy runs by individualized vertex, shared when the copies agree
-        runs_g: dict[int, _CopyRun] = {}
-        runs_h = runs_g if c_g == c_h else {}
         for color in eligible:
+            # this color's copy runs by vertex, shared when the copies agree
+            runs_g: dict[int, _CopyRun] = {}
+            runs_h = runs_g if c_g == c_h else {}
             vs = [v for v in range(n) if c_g[v] == color and orbit_g[v] == v]
             ws = [w for w in range(n) if c_h[w] == color and orbit_h[w] == w]
             for v, w in product(vs, ws):

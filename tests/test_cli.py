@@ -1,18 +1,21 @@
 import hashlib
 import json
+import random
 from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
+import cayleywl.cli
 import cayleywl.sweep
 import cayleywl.tinhofer
 import cayleywl.wl
 from cayleywl.cli import build_parser, main
 from cayleywl.groups import GroupSpec
+from cayleywl.spectral import SPECTRUM_LIMIT
 from cayleywl.sweep import JOBS_LIMIT, SweepConfig, round_bound, run_sweep
 from cayleywl.tinhofer import CANON_LIMIT, TINHOFER_LIMIT
-from cayleywl.wl import WL2_LIMIT
+from cayleywl.wl import WL2_LIMIT, induced_smodule, parse_cayley_graph, wl2_stabilize
 
 
 def run(capsys, *argv):
@@ -94,15 +97,82 @@ def test_smodule_output_is_pinned():
     assert digest.hexdigest() == _SMODULE_DIGEST
 
 
-@pytest.mark.parametrize("graph, order", [("Z4097:1", 4097), ("Z65xZ64:(0,1)", 4160)])
+def _wl2_descriptors():
+    """Z1, the smodule descriptors, then 25 seeded sets each over Z2xZ8,
+    Z2xZ2xZ4 and Z4xZ4."""
+    yield "Z1:"
+    yield from _smodule_descriptors()
+    rng = random.Random(22)
+    for moduli in [(2, 8), (2, 2, 4), (4, 4)]:
+        spec = GroupSpec(moduli)
+        names = [f"({','.join(map(str, spec.element(g)))})" for g in range(1, spec.order)]
+        for _ in range(25):
+            yield f"{spec}:{','.join(name for name in names if rng.random() < 0.5)}"
+
+
+def test_wl2_descriptor_output_is_the_pair_engines():
+    """A descriptor's classes and rounds are those of the pair engine read
+    off its identity row, in every format, byte for byte."""
+    parser = build_parser()
+    count = 0
+    for graph in _wl2_descriptors():
+        g = parse_cayley_graph(graph)
+        trace = wl2_stabilize(g)
+        classes = induced_smodule(trace.final, g.spec).classes
+        shown = "|".join(",".join(map(str, c)) for c in classes)
+        expected = {
+            "text": f"rounds: {trace.rounds}, classes: {shown}\n",
+            "csv": f"rounds,classes\n{trace.rounds},{shown}\n",
+            "json": json.dumps({"classes": [list(c) for c in classes], "rounds": trace.rounds}) + "\n",
+        }
+        for fmt, text in expected.items():
+            args = parser.parse_args(["wl2", graph, "--format", fmt])
+            assert args.func(args) == text, (graph, fmt)
+        count += 1
+    assert count == 1 + 1022 + 128 + 256 + 3 * 25
+
+
+def test_wl2_descriptor_never_reaches_the_pair_engine(tmp_path, capsys, monkeypatch):
+    def refused(g):
+        raise ValueError("pair engine reached")
+
+    monkeypatch.setattr(cayleywl.cli, "wl2_stabilize", refused)
+    assert run(capsys, "wl2", "Z9:1,3,6,8") == (0, "rounds: 1, classes: 0|1,8|2,7|3,6|4,5\n", "")
+    path = tmp_path / "path.txt"
+    path.write_text("3\n0 1\n1 2\n")
+    assert run(capsys, "wl2", str(path)) == (1, "", "cayleywl: pair engine reached\n")
+
+
+@pytest.mark.parametrize("graph", ["Z256:1,255", "Z257:1,256"])
+def test_wl2_descriptor_answers_above_the_pair_engine_limit(capsys, graph):
+    """Descriptors answer up to the addition-table limit, with the stable
+    partition and the round count that smodule reports."""
+    code, out, err = run(capsys, "wl2", graph, "--format", "json")
+    assert (code, err) == (0, "")
+    smodule = json.loads(run(capsys, "smodule", graph, "--format", "json")[1])
+    assert json.loads(out) == {"classes": smodule["stable"], "rounds": smodule["rounds"]}
+    n = int(graph[1:4])
+    assert smodule["stable"] == [[0]] + [sorted({d, n - d}) for d in range(1, n // 2 + 1)]
+
+
+@pytest.mark.parametrize(
+    "graph, order", [("Z4097:1", 4097), ("Z65xZ64:(0,1)", 4160), ("Z1000000000:1", 10**9)]
+)
 def test_smodule_rejects_groups_above_the_table_limit(capsys, monkeypatch, graph, order):
-    # one refinement round gathers order^2 pairs; no sum row may be built
+    """One refinement round gathers order^2 pairs, so no sum row may be
+    built, nor the structural partition, one entry per element.  wl2 on a
+    descriptor takes the same path and the same check."""
     def no_rows(spec, a):
         raise AssertionError("sum row built above the table limit")
 
+    def no_partition(spec, con):
+        raise AssertionError("structural partition built above the table limit")
+
     monkeypatch.setattr(GroupSpec, "sum_row", no_rows)
+    monkeypatch.setattr(cayleywl.cli, "initial_cayley_smodule", no_partition)
     message = f"cayleywl: addition table limited to groups of order at most 4096, got {order}\n"
-    assert run(capsys, "smodule", graph) == (1, "", message)
+    for command in ("smodule", "wl2"):
+        assert run(capsys, command, graph) == (1, "", message)
 
 
 def test_spectrum_csv(capsys):
@@ -114,6 +184,32 @@ def test_spectrum_csv(capsys):
     assert len(rows) == 7
     assert len({row[3] for row in rows}) == 4
     assert rows[0][1] == "2"
+
+
+def test_spectrum_rejects_orders_above_its_size_limit(capsys, monkeypatch):
+    """Z2053, the least prime above the limit, and Z1000000007 exit 1 before
+    the stabilizer is computed; Z2039, the greatest prime below it, gets past
+    the guard (stopped here at the stabilizer).  A composite order keeps its
+    prime-order message."""
+    computed = []
+
+    def stopped(p, con):
+        computed.append(p)
+        raise ValueError("stopped at the stabilizer")
+
+    monkeypatch.setattr(cayleywl.cli, "stabilizer_subgroup", stopped)
+    assert SPECTRUM_LIMIT == 2048
+    for p in (2053, 1_000_000_007):
+        assert run(capsys, "spectrum", f"Z{p}:1") == (
+            1, "", f"cayleywl: spectrum limited to groups of order at most 2048, got {p}\n"
+        )
+    assert computed == []
+    assert run(capsys, "spectrum", "Z4096:1") == (
+        1, "", "cayleywl: spectrum needs prime order, got 4096 at position 0\n"
+    )
+    code, _, err = run(capsys, "spectrum", "Z2039:1")
+    assert (code, computed) == (1, [2039])
+    assert "stopped at the stabilizer" in err
 
 
 def test_canon_codes_agree(capsys):

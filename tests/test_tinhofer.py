@@ -3,6 +3,7 @@ import hashlib
 import inspect
 import random
 import sys
+import weakref
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -199,6 +200,38 @@ def test_tinhofer_property_rejects_digraphs_above_its_size_limit():
     edgeless = DiGraph.from_out_lists([()] * (tinhofer.TINHOFER_LIMIT + 1))
     with pytest.raises(ValueError, match="limited to at most 2048 vertices, got 2049"):
         has_tinhofer_property(edgeless)
+
+
+class _TrackedCertificate(list):
+    """A copy-run certificate that a weakref can follow."""
+
+
+def test_tinhofer_search_frees_copy_runs_color_by_color(monkeypatch):
+    """On the 64-cycle the node after the first choice has 31 eligible
+    colors of one orbit each; a node that kept every color's copy run until
+    its last child finished would hold 32 runs, certificates and all."""
+    alive = [0]
+    peak = [0]
+    calls = []
+    refine_copy = tinhofer._refine_copy
+
+    def freed():
+        alive[0] -= 1
+
+    def tracked(dg, colors, v=None):
+        final, certificate = refine_copy(dg, colors, v)
+        certificate = _TrackedCertificate(certificate)
+        weakref.finalize(certificate, freed)
+        alive[0] += 1
+        peak[0] = max(peak[0], alive[0])
+        calls.append(v)
+        return final, certificate
+
+    monkeypatch.setattr(tinhofer, "_refine_copy", tracked)
+    report = has_tinhofer_property(CayleyGraph(GroupSpec((64,)), (1, 63)))
+    assert report == TinhoferReport("true", None, 33)
+    assert calls == [None, 0, *range(31, 0, -1)]
+    assert peak[0] <= 3
 
 
 def test_coloring_orbits_vertex_transitive():
