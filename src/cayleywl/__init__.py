@@ -48,6 +48,7 @@ from .wl import (
     PairColoring,
     VertexColoring,
     build_cayley,
+    cr_refine,
     cr_stabilize,
     cr_step,
     induced_smodule,

@@ -33,7 +33,7 @@ from .wl import (
     parse_adjacency,
     parse_cayley_graph,
     parse_vertex,
-    cr_stabilize,
+    cr_refine,
     uniform_coloring,
     wl2_stabilize,
 )
@@ -97,8 +97,8 @@ def _cmd_cr(args: argparse.Namespace) -> str:
     coloring = uniform_coloring(n)
     for token in args.individualize or []:
         coloring = individualize(coloring, parse_vertex(token, g))
-    trace = cr_stabilize(g, coloring)
-    classes = trace.final.classes()
+    trace = cr_refine(g, coloring)
+    classes = trace.final
     return _rounds_text(args.format, trace.rounds, "classes", classes, classes_text(classes))
 
 

@@ -12,7 +12,14 @@ from typing import Iterable
 
 from .groups import GroupSpec, unit_multipliers
 from .partition import OrderedPartition, RefinementTrace, rank_signatures, refine_to_stable
-from .wl import build_cayley, coloring_from_partition, cr_stabilize, cr_step, partition_from_coloring
+from .wl import (
+    CayleyGraph,
+    build_cayley,
+    coloring_from_partition,
+    cr_refine,
+    cr_step,
+    partition_from_coloring,
+)
 
 
 @dataclass(frozen=True)
@@ -124,8 +131,8 @@ def stabilize_refine(partition: OrderedPartition) -> RefinementTrace:
 def stabilize_refine_con(partition: OrderedPartition, con: Iterable[int]) -> RefinementTrace:
     """Color refinement on Cay(G, con) from the partition to its fixed point."""
     spec = partition.spec
-    trace = cr_stabilize(build_cayley(spec, con), coloring_from_partition(partition))
-    return replace(trace, final=partition_from_coloring(trace.final, spec))
+    trace = cr_refine(CayleyGraph(spec, tuple(con)), coloring_from_partition(partition))
+    return replace(trace, final=OrderedPartition(spec, trace.final))
 
 
 def scaled_partition(partition: OrderedPartition, m: int) -> OrderedPartition:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, Sequence
 
 GroupElement = tuple[int, ...]
@@ -201,9 +201,25 @@ def power_class_count(spec: GroupSpec) -> int:
     return len(power_equivalence_classes(spec).classes)
 
 
+# divided out first, then the Miller-Rabin bases below _MILLER_RABIN_BOUND
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# the least strong pseudoprime to every base in _SMALL_PRIMES (Sorenson and
+# Webster, Strong pseudoprimes to twelve prime bases, 2017)
+_MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
+    """Primality by division by the small primes, then deterministic
+    Miller-Rabin below :data:`_MILLER_RABIN_BOUND`, and trial division
+    above it."""
     if n < 2:
         return False
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    if n < _MILLER_RABIN_BOUND:
+        return all(map(partial(_strong_probable_prime, n), _SMALL_PRIMES))
     d = 2
     while d * d <= n:
         if n % d == 0:
@@ -211,3 +227,18 @@ def is_prime(n: int) -> bool:
         d += 1
     return True
 
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """Miller-Rabin test of the odd ``n > a`` to base ``a``: with
+    ``n - 1 = d * 2**s``, d odd, ``a**d`` is 1 mod n or one of its first s
+    squarings is -1 mod n."""
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    x = pow(a, d >> s, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False

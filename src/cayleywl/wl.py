@@ -7,9 +7,10 @@ same refinement much faster, and the two are cross-validated in tests.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
-from itertools import chain, count, repeat
+from itertools import accumulate, chain, count, repeat
 from operator import add, itemgetter
 from typing import Iterable, Sequence, Union
 
@@ -381,6 +382,101 @@ def cr_stabilize(g: Graph, c: VertexColoring) -> RefinementTrace:
     """Iterate color refinement to the stable coloring; a Cayley graph
     descriptor is materialized as a digraph once."""
     return refine_to_stable(c, partial(cr_step, as_digraph(g)))
+
+
+def cr_refine(g: Graph, c: VertexColoring) -> RefinementTrace:
+    """Color refinement from ``c`` to its stable coloring, round for round
+    :func:`cr_stabilize`'s: equal ``rounds`` and ``class_counts``, with the
+    stable classes in canonical order (each ascending, ordered by minimum)
+    as ``final``.  It yields no color ids, so callers that rank by them keep
+    :func:`cr_step`.
+
+    Round r + 1 splits the cells of round r by their in-neighbor counts
+    into every class of round r.  A cell of round r already agrees on its
+    counts into every class of round r - 1, so only the non-largest parts
+    of the cells that split in round r are gathered: the count into the
+    largest part follows by subtraction.  Round 1 keys each vertex by its
+    in-degree, which stands in for its count into the largest start class,
+    and its hits on the other start classes.  A vertex lies in a gathered
+    part at most log2(n) times, so a run costs O((m + n) log n).
+
+    The cells live in one permutation list, each a run ``start``, ``size``
+    of it.  Splits wait until a round's gather ends, so rounds stay
+    synchronous, and a split moves only the vertices it regroups to the end
+    of their cell's run: the rest keeps the cell in place.  A Cayley graph
+    descriptor takes its out-lists from its sum rows; no in-lists are built.
+    """
+    n = g.n
+    if c.n != n:
+        raise ValueError("coloring does not match graph size")
+    if isinstance(g, CayleyGraph):
+        rows = (g.spec.sum_row(s) for s in g.con)
+        outs: Sequence[Sequence[int]] = list(zip(*rows)) if g.con else [()] * n
+        # every in-degree is |con|, which splits nothing
+        ins: Sequence[Sequence[int]] = ()
+    else:
+        outs, ins = g.out_neighbors, g.in_neighbors
+
+    members: list[list[int]] = [[] for _ in range(c.class_count)]
+    for v, color in enumerate(c.colors):
+        members[color].append(v)
+    cell = list(c.colors)
+    size = list(map(len, members))
+    start = list(accumulate(size[:-1], initial=0)) if size else []
+    perm = list(chain.from_iterable(members))
+    del members
+    pos = [0] * n
+    for i, v in enumerate(perm):
+        pos[v] = i
+    counts = [len(size)]
+    # round 1 gathers every start class but one largest, and the in-degree
+    splitters = sorted(range(len(size)), key=size.__getitem__)[:-1]
+    hits: dict[int, list[int]] = defaultdict(list)
+    if len(set(map(len, ins))) > 1:
+        hits.update((v, [~len(tails)]) for v, tails in enumerate(ins))
+    while len(size) < n:
+        for k, x in enumerate(splitters):
+            at = start[x]
+            for v in chain.from_iterable(map(outs.__getitem__, perm[at : at + size[x]])):
+                hits[v].append(k)
+        # a key is a vertex's splitter indices, one per hit, ascending;
+        # popped, so each list is freed as its key replaces it
+        touched: dict[int, dict[tuple[int, ...], list[int]]] = defaultdict(dict)
+        while hits:
+            v, key = hits.popitem()
+            touched[cell[v]].setdefault(tuple(key), []).append(v)
+        splitters = []
+        for x, groups in touched.items():
+            blocks = list(groups.values())
+            rest = size[x] - sum(map(len, blocks))
+            if not rest:
+                if len(blocks) == 1:
+                    continue
+                # the largest block keeps the cell in place instead
+                blocks.sort(key=len)
+                rest = len(blocks.pop())
+            parts = [(rest, x)]
+            end = start[x] + size[x]
+            for block in blocks:
+                new = len(size)
+                start.append(end - len(block))
+                size.append(len(block))
+                parts.append((len(block), new))
+                for v in block:
+                    end -= 1
+                    w, i = perm[end], pos[v]
+                    perm[i], pos[w] = w, i
+                    perm[end], pos[v] = v, end
+                    cell[v] = new
+            size[x] = rest
+            parts.remove(max(parts))
+            splitters += [y for _, y in parts]
+        del touched
+        if len(size) == counts[-1]:
+            break
+        counts.append(len(size))
+    final = sorted(tuple(sorted(perm[at : at + z])) for at, z in zip(start, size))
+    return RefinementTrace(rounds=len(counts) - 1, class_counts=tuple(counts), final=tuple(final))
 
 
 # ---------------------------------------------------------------------------

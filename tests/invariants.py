@@ -151,6 +151,11 @@ def cr_stabilize_oracle(in_neighbors, colors) -> RefinementTrace:
     return RefinementTrace(rounds=rounds, class_counts=tuple(counts), final=tuple(colors))
 
 
+def is_prime_oracle(n: int) -> bool:
+    """Primality by trial division by every d with d * d <= n."""
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
 def cayley_in_neighbors(spec: GroupSpec, con: tuple[int, ...]) -> list[list[int]]:
     """In-neighbors v - s of every vertex v of Cay(G, con), on residue tuples."""
     out = []

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import time
 from dataclasses import replace
 from itertools import combinations
 
@@ -210,6 +211,21 @@ def test_spectrum_rejects_orders_above_its_size_limit(capsys, monkeypatch):
     code, _, err = run(capsys, "spectrum", "Z2039:1")
     assert (code, computed) == (1, [2039])
     assert "stopped at the stabilizer" in err
+
+
+def test_spectrum_and_canon_reject_a_huge_prime_order_at_once(capsys):
+    """10^18 + 3 is prime: both commands pass their prime check and exit 1
+    at their size limits, with their messages, where trial division would
+    have run for minutes first."""
+    p = 10**18 + 3
+    started = time.perf_counter()
+    assert run(capsys, "spectrum", f"Z{p}:1") == (
+        1, "", f"cayleywl: spectrum limited to groups of order at most 2048, got {p}\n"
+    )
+    assert run(capsys, "canon", f"Z{p}:1") == (
+        1, "", f"cayleywl: canon limited to groups of order at most 2048, got {p}\n"
+    )
+    assert time.perf_counter() - started < 1.0
 
 
 def test_canon_codes_agree(capsys):

@@ -1,3 +1,6 @@
+import math
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,7 +19,8 @@ from cayleywl import (
     stabilizer_subgroup,
     unit_multipliers,
 )
-from invariants import power_classes_oracle
+from cayleywl.groups import is_prime
+from invariants import is_prime_oracle, power_classes_oracle
 
 
 def test_parse_group_spec():
@@ -77,6 +81,46 @@ def test_divisor_count():
     assert divisor_count(36) == 9
     with pytest.raises(ValueError):
         divisor_count(0)
+
+
+def test_is_prime_matches_trial_division_below_200000():
+    assert [n for n in range(200_000) if is_prime(n) != is_prime_oracle(n)] == []
+
+
+def test_is_prime_rejects_strong_pseudoprimes_and_carmichael_numbers():
+    """Each strong pseudoprime is the least one to the prime bases up to 2,
+    7, 23 and 37, so only a later base rejects it; the Chernick numbers
+    (6k + 1)(12k + 1)(18k + 1) with three prime factors are Carmichael
+    numbers, which pass the Fermat test to every coprime base."""
+    pseudoprimes = {
+        2047: (23, 89),
+        3215031751: (151, 751, 28351),
+        3825123056546413051: (149491, 747451, 34233211),
+        318665857834031151167461: (399165290221, 798330580441),
+    }
+    for n, factors in pseudoprimes.items():
+        assert math.prod(factors) == n and not is_prime(n)
+    chernick = [
+        (6 * k + 1) * (12 * k + 1) * (18 * k + 1)
+        for k in range(1, 20_000)
+        if all(is_prime_oracle(j * k + 1) for j in (6, 12, 18))
+    ]
+    assert chernick[:3] == [1729, 294409, 56052361]
+    assert len(chernick) > 100 and chernick[-1] > 10**14
+    assert not any(map(is_prime, chernick))
+
+
+def test_is_prime_answers_large_orders_at_once():
+    """Primes near 10^14 and 10^18, the Mersenne prime 2^61 - 1 and a
+    product of two primes near 10^12 take microseconds; trial division spent
+    1.2 s on 10^14 + 31.  Above the Miller-Rabin bound the check is trial
+    division again, which finds a small factor at once."""
+    started = time.perf_counter()
+    assert is_prime(10**14 + 31) and is_prime(10**18 + 3) and is_prime(2**61 - 1)
+    assert not is_prime(1000000000039 * 1000000000061)
+    assert time.perf_counter() - started < 0.5
+    assert not is_prime(43 * (10**24 + 7)) and not is_prime(1009 * (10**22 + 9))
+    assert is_prime(13)
 
 
 def test_unit_multipliers():

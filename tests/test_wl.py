@@ -1,7 +1,9 @@
 import gc
 import pickle
 import random
+import time
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -13,6 +15,7 @@ from cayleywl import (
     GraphFormatError,
     OrderedPartition,
     build_cayley,
+    cr_refine,
     cr_stabilize,
     cr_step,
     induced_smodule,
@@ -25,11 +28,13 @@ from cayleywl import (
     parse_group_spec,
     refine,
     refine_to_stable,
+    stabilize_refine_con,
     uniform_coloring,
     wl2_stabilize,
     wl2_step,
 )
 import cayleywl.wl
+from cayleywl.cli import main
 from cayleywl.wl import (
     PairColoring,
     VertexColoring,
@@ -48,6 +53,7 @@ from invariants import (
     initial_pair_coloring_oracle,
     is_cayley_partition_oracle,
     ladder_connection_set,
+    random_partition,
     relabeled,
     transposed_in_neighbors,
     wl2_step_all_pairs,
@@ -565,6 +571,75 @@ def test_cr_class_counts_never_decrease():
     cg = CayleyGraph(GroupSpec((12,)), (1, 3, 11))
     trace = cr_stabilize(cg, individualize(uniform_coloring(12), 0))
     assert all(a < b for a, b in zip(trace.class_counts, trace.class_counts[1:]))
+
+
+def _assert_cr_refine_matches_stabilize(g, c):
+    """The smaller-part engine's trace equals the all-rounds reference's,
+    with the reference's final coloring read as canonical classes."""
+    got, want = cr_refine(g, c), cr_stabilize(g, c)
+    assert (got.rounds, got.class_counts) == (want.rounds, want.class_counts)
+    assert got.final == want.final.classes()
+
+
+@st.composite
+def individualized_digraphs(draw, max_n=9):
+    """A colored digraph with 0, 1 or 2 of its vertices individualized."""
+    dg, c = draw(colored_digraphs(max_n))
+    for v in draw(st.lists(st.integers(0, dg.n - 1), max_size=2)) if dg.n else ():
+        c = individualize(c, v)
+    return dg, c
+
+
+@given(individualized_digraphs())
+@example((DiGraph.from_edges(0, []), VertexColoring(0, ())))
+@example((DiGraph.from_edges(1, []), VertexColoring(1, (0,))))
+@example((DiGraph.from_edges(5, []), individualize(uniform_coloring(5), 3)))
+@example((build_cayley(GroupSpec((5,)), range(1, 5)), individualize(uniform_coloring(5), 1)))
+# one start class holds in-degrees 0, 1 and 2: only the in-degree splits it
+@example((DiGraph.from_edges(4, [(0, 2), (0, 3), (1, 3)]), VertexColoring(4, (0, 0, 0, 0))))
+@example((DiGraph.from_edges(5, [(4, 1), (4, 2), (3, 2)]), VertexColoring(5, (0, 0, 0, 1, 1))))
+def test_cr_refine_matches_cr_stabilize_on_digraphs(case):
+    _assert_cr_refine_matches_stabilize(*case)
+
+
+@pytest.mark.parametrize("group", ["Z4xZ4", "Z2xZ8", "Z2xZ2xZ4", "Z3xZ9"])
+def test_cr_refine_matches_cr_stabilize_on_cayley_graphs(group):
+    """Seeded connection sets with 0, 1 or 2 individualized vertices, read
+    from the descriptor and from its digraph."""
+    spec = parse_group_spec(group)
+    rng = random.Random(group)
+    for _ in range(60):
+        cg = CayleyGraph(spec, tuple(s for s in range(1, spec.order) if rng.random() < 0.3))
+        c = uniform_coloring(spec.order)
+        for v in rng.sample(range(spec.order), rng.randint(0, 2)):
+            c = individualize(c, v)
+        _assert_cr_refine_matches_stabilize(cg, c)
+        _assert_cr_refine_matches_stabilize(cg.digraph(), c)
+
+
+def test_stabilize_refine_con_matches_cr_stabilize():
+    """``stabilize_refine_con`` equals the trace of ``cr_stabilize`` on the
+    built Cayley digraph, its final coloring read as a partition."""
+    rng = random.Random(23)
+    for group in ("Z12", "Z4xZ4", "Z2xZ8", "Z3xZ9"):
+        spec = parse_group_spec(group)
+        for _ in range(40):
+            con = tuple(s for s in range(1, spec.order) if rng.random() < 0.3)
+            start = random_partition(spec, rng, max_classes=3)
+            want = cr_stabilize(build_cayley(spec, con), coloring_from_partition(start))
+            want = replace(want, final=partition_from_coloring(want.final, spec))
+            assert stabilize_refine_con(start, con) == want, (group, con, start)
+
+
+def test_cr_refine_runs_a_long_directed_cycle_in_time(capsys):
+    """``cr Z4001:1 --individualize 0`` takes 3 999 rounds, each splitting
+    one vertex off; a run that redid every vertex each round took 16 s."""
+    started = time.perf_counter()
+    assert main(["cr", "Z4001:1", "--individualize", "0", "--format", "csv"]) == 0
+    elapsed = time.perf_counter() - started
+    out = capsys.readouterr().out
+    assert out == "rounds,classes\n3999," + "|".join(map(str, range(4001))) + "\n"
+    assert elapsed < 2.0, elapsed
 
 
 def test_vertex_coloring_validation():
