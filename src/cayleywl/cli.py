@@ -10,7 +10,7 @@ import functools
 import json
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .groups import is_prime
 from .group_ring import stabilize_refine
@@ -24,11 +24,17 @@ from .sweep import (
     reproduce_counterexample,
     sweep_rows,
 )
-from .tinhofer import canonical_form_prime_circulant, has_tinhofer_property, individualize
+from .tinhofer import (
+    canonical_form_prime_circulant,
+    check_tinhofer_order,
+    has_tinhofer_property,
+    individualize,
+)
 from .wl import (
     CayleyGraph,
     Graph,
     GraphFormatError,
+    check_wl2_order,
     initial_cayley_smodule,
     parse_adjacency,
     parse_cayley_graph,
@@ -45,14 +51,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _load_graph(arg: str) -> Graph:
+def _load_graph(arg: str, check_order: Optional[Callable[[int], None]] = None) -> Graph:
     """Cayley string when it contains ':', otherwise an adjacency-list file."""
     if ":" in arg:
         return parse_cayley_graph(arg)
     path = Path(arg)
     if not path.exists():
         raise GraphFormatError(f"no such adjacency file {arg!r}", 0)
-    return parse_adjacency(path.read_text())
+    return parse_adjacency(path.read_text(), check_order)
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -81,7 +87,7 @@ def _smodule_trace(g: CayleyGraph) -> tuple[OrderedPartition, RefinementTrace]:
 
 
 def _cmd_wl2(args: argparse.Namespace) -> str:
-    g = _load_graph(args.graph)
+    g = _load_graph(args.graph, check_wl2_order)
     if isinstance(g, CayleyGraph):
         trace = _smodule_trace(g)[1]
         stable = trace.final
@@ -161,7 +167,7 @@ def _node_budget(args: argparse.Namespace) -> int:
 
 def _cmd_tinhofer_check(args: argparse.Namespace) -> str:
     budget = _node_budget(args)
-    report = has_tinhofer_property(_load_graph(args.graph), budget=budget)
+    report = has_tinhofer_property(_load_graph(args.graph, check_tinhofer_order), budget=budget)
     payload = {
         "property": {"true": True, "false": False}.get(report.status),
         "status": report.status,
@@ -286,14 +292,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"cayleywl: {exc}", file=sys.stderr)
         return 1
-    except (BoundViolation, EngineMismatch) as exc:
+    except (BoundViolation, EngineMismatch, CounterexampleMismatch) as exc:
         print(f"cayleywl: {exc}", file=sys.stderr)
-        return 2
-    except CounterexampleMismatch as exc:
-        print("cayleywl: counterexample mismatch", file=sys.stderr)
-        print(str(exc), file=sys.stderr)
-        for i, text in enumerate(exc.computed):
-            print(f"  computed round {i}: {text}", file=sys.stderr)
         return 2
 
 

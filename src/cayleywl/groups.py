@@ -201,7 +201,7 @@ def power_class_count(spec: GroupSpec) -> int:
     return len(power_equivalence_classes(spec).classes)
 
 
-# divided out first, then the Miller-Rabin bases below _MILLER_RABIN_BOUND
+# divided out first, then the Miller-Rabin bases
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 # the least strong pseudoprime to every base in _SMALL_PRIMES (Sorenson and
@@ -210,22 +210,16 @@ _MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Primality by division by the small primes, then deterministic
-    Miller-Rabin below :data:`_MILLER_RABIN_BOUND`, and trial division
-    above it."""
+    """Primality by division by the small primes, then Miller-Rabin, which is
+    exact below :data:`_MILLER_RABIN_BOUND`; ``n`` from there up raise ``ValueError``."""
+    if n >= _MILLER_RABIN_BOUND:
+        raise ValueError(f"prime check limited to numbers below {_MILLER_RABIN_BOUND}, got {n}")
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
-    if n < _MILLER_RABIN_BOUND:
-        return all(map(partial(_strong_probable_prime, n), _SMALL_PRIMES))
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return all(map(partial(_strong_probable_prime, n), _SMALL_PRIMES))
 
 
 def _strong_probable_prime(n: int, a: int) -> bool:

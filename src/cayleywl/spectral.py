@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .groups import GroupSpec, connection_set, is_prime, multiplier_orbits
 from .partition import OrderedPartition
@@ -66,27 +66,6 @@ def numeric_spectrum(sd: StabilizerData) -> list[complex]:
     """
     p = sd.p
     return [sum(cmath.exp(2j * cmath.pi * c * k / p) for c in sd.con) for k in range(p)]
-
-
-def group_spectrum(sd: StabilizerData, values: Sequence[complex], tolerance: float = 1e-9) -> OrderedPartition:
-    """Group character indices whose eigenvalues agree within tolerance
-    (transitively); at sane tolerances this reproduces eigenvalue_classes."""
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
-    p = sd.p
-    parent = list(range(p))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(p):
-        for j in range(i + 1, p):
-            if abs(values[i] - values[j]) <= tolerance:
-                parent[find(i)] = find(j)
-    return OrderedPartition.from_labels(sd.spec, [find(k) for k in range(p)])
 
 
 def predicted_individualized_partition(sd: StabilizerData, g0: int) -> OrderedPartition:

@@ -338,7 +338,7 @@ EXPECTED_COUNTEREXAMPLE_ROUNDS: tuple[str, ...] = (
 
 class CounterexampleMismatch(AssertionError):
     def __init__(self, computed: tuple[str, ...], expected: tuple[str, ...], detail: str) -> None:
-        lines = [detail]
+        lines = ["counterexample mismatch", detail]
         for i in range(max(len(computed), len(expected))):
             got = computed[i] if i < len(computed) else "<absent>"
             want = expected[i] if i < len(expected) else "<absent>"

@@ -273,6 +273,11 @@ def _refine_copy(dg: DiGraph, colors: tuple[int, ...], v: Optional[int] = None) 
 TINHOFER_LIMIT = 2048
 
 
+def check_tinhofer_order(n: int) -> None:
+    if n > TINHOFER_LIMIT:
+        raise ValueError(f"tinhofer-check limited to at most {TINHOFER_LIMIT} vertices, got {n}")
+
+
 def has_tinhofer_property(g: Graph, budget: int = 1_000_000) -> TinhoferReport:
     """Exhaustively check the individualization-refinement procedure against
     the graph itself: at every stable non-discrete coloring, every eligible
@@ -290,8 +295,7 @@ def has_tinhofer_property(g: Graph, budget: int = 1_000_000) -> TinhoferReport:
     above :data:`TINHOFER_LIMIT` vertices are rejected before a descriptor
     is built.
     """
-    if g.n > TINHOFER_LIMIT:
-        raise ValueError(f"tinhofer-check limited to at most {TINHOFER_LIMIT} vertices, got {g.n}")
+    check_tinhofer_order(g.n)
     dg = as_digraph(g)
     n = dg.n
     finished: set[_Node] = set()

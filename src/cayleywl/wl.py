@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 from itertools import accumulate, chain, count, repeat
 from operator import add, itemgetter
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .groups import GroupSpec, connection_set, parse_group_spec
 from .partition import (
@@ -134,10 +134,6 @@ class CayleyGraph:
     def n(self) -> int:
         return self.spec.order
 
-    def is_undirected(self) -> bool:
-        con = set(self.con)
-        return all(self.spec.neg(s) in con for s in con)
-
     def digraph(self) -> DiGraph:
         return build_cayley(self.spec, self.con)
 
@@ -212,6 +208,11 @@ def initial_pair_coloring(g: Graph) -> PairColoring:
 WL2_LIMIT = 256
 
 
+def check_wl2_order(n: int) -> None:
+    if n > WL2_LIMIT:
+        raise ValueError(f"wl2 limited to graphs of at most {WL2_LIMIT} vertices, got {n}")
+
+
 @lru_cache(maxsize=8)
 def _triangle(n: int) -> tuple[tuple[tuple[int, int], ...], itemgetter, itemgetter]:
     """For n vertices: the pairs (i, j) with i <= j in row-major order, a
@@ -270,8 +271,7 @@ def wl2_stabilize(g: Graph) -> RefinementTrace:
     colored: a round ranks n(n + 1)/2 signatures of n + 1 entries, and its
     mirrored signatures can double that.
     """
-    if g.n > WL2_LIMIT:
-        raise ValueError(f"wl2 limited to graphs of at most {WL2_LIMIT} vertices, got {g.n}")
+    check_wl2_order(g.n)
     return refine_to_stable(initial_pair_coloring(g), wl2_step)
 
 
@@ -595,10 +595,11 @@ def _text_lines(text: str):
         start = end
 
 
-def parse_adjacency(text: str) -> DiGraph:
+def parse_adjacency(text: str, check_order: Optional[Callable[[int], None]] = None) -> DiGraph:
     """Parse the plain edge-list format: a header line with the vertex count,
     then one ``u v`` pair per line.  Edge positions are 1-based line numbers,
-    blank lines included."""
+    blank lines included.  ``check_order``, when given, sees the vertex count
+    before any per-vertex list is built."""
     numbered = enumerate(_text_lines(text), start=1)
     lines = ((lineno, ln) for lineno, ln in numbered if ln and not ln.isspace())
     lineno, header = next(lines, (0, ""))
@@ -611,6 +612,8 @@ def parse_adjacency(text: str) -> DiGraph:
         raise GraphFormatError(f"expected vertex count, got {header!r}", 0) from None
     if n < 0:
         raise GraphFormatError(f"negative vertex count {n}", 0)
+    if check_order is not None:
+        check_order(n)
 
     def edges():
         nonlocal lineno

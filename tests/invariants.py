@@ -20,6 +20,7 @@ from cayleywl import (
     CayleyGraph,
     GroupSpec,
     OrderedPartition,
+    StabilizerData,
     build_cayley,
     cr_step,
     divisor_count,
@@ -39,7 +40,6 @@ from cayleywl import (
     wl2_step,
 )
 from cayleywl.group_ring import GroupRingElement
-from cayleywl.spectral import group_spectrum
 from cayleywl import tinhofer
 from cayleywl.groups import is_prime
 from cayleywl.tinhofer import IsoResult, TinhoferReport, individualize
@@ -969,6 +969,29 @@ def check_automorphism_family(primes: tuple[int, ...]) -> int:
                 assert count == p * len(sd.h_elements), (p, con, count)
             checked += 1
     return checked
+
+
+def group_spectrum(
+    sd: StabilizerData, values: Sequence[complex], tolerance: float = 1e-9
+) -> OrderedPartition:
+    """Group character indices whose eigenvalues agree within tolerance
+    (transitively); at sane tolerances this reproduces eigenvalue_classes."""
+    if tolerance <= 0:
+        raise ValueError("tolerance must be positive")
+    p = sd.p
+    parent = list(range(p))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i in range(p):
+        for j in range(i + 1, p):
+            if abs(values[i] - values[j]) <= tolerance:
+                parent[find(i)] = find(j)
+    return OrderedPartition.from_labels(sd.spec, [find(k) for k in range(p)])
 
 
 def check_spectrum_grouping(primes: tuple[int, ...], tolerance: float = 1e-9) -> int:

@@ -228,6 +228,19 @@ def test_spectrum_and_canon_reject_a_huge_prime_order_at_once(capsys):
     assert time.perf_counter() - started < 1.0
 
 
+def test_spectrum_and_canon_refuse_a_prime_above_the_prime_check_bound(capsys):
+    """The least prime above the Miller-Rabin bound: both commands exit 1 at
+    once with the prime check's refusal."""
+    p = 3317044064679887385962123
+    message = (
+        f"cayleywl: prime check limited to numbers below 3317044064679887385961981, got {p}\n"
+    )
+    for command in ("spectrum", "canon"):
+        started = time.perf_counter()
+        assert run(capsys, command, f"Z{p}:1") == (1, "", message)
+        assert time.perf_counter() - started < 1.0
+
+
 def test_canon_codes_agree(capsys):
     code, out1, _ = run(capsys, "canon", "Z7:1,2,4")
     assert code == 0
@@ -508,6 +521,36 @@ def test_wl2_rejects_graphs_above_its_size_limit(tmp_path, capsys, monkeypatch):
     assert "stopped at the initial pair coloring" in err
 
 
+HEADER_LIMITS = {
+    "wl2": (WL2_LIMIT, "wl2 limited to graphs of at most 256 vertices"),
+    "tinhofer-check": (TINHOFER_LIMIT, "tinhofer-check limited to at most 2048 vertices"),
+}
+
+
+@pytest.mark.parametrize("command", list(HEADER_LIMITS))
+def test_file_header_over_the_limit_exits_before_any_list(tmp_path, capsys, monkeypatch, command):
+    """A header over the command's limit exits 1 with the library's message
+    before DiGraph.from_edges builds a list per vertex (stubbed here to
+    raise); a header at the limit gets as far as from_edges."""
+    limit, message = HEADER_LIMITS[command]
+    built = []
+
+    def stopped(cls, n, edges):
+        built.append(n)
+        raise ValueError("stopped at from_edges")
+
+    monkeypatch.setattr(cayleywl.wl.DiGraph, "from_edges", classmethod(stopped))
+    path = tmp_path / "header.txt"
+    for n in (limit + 1, 100_000_000):
+        path.write_text(f"{n}")
+        assert run(capsys, command, str(path)) == (1, "", f"cayleywl: {message}, got {n}\n")
+    assert built == []
+    path.write_text(f"{limit}\n")
+    code, _, err = run(capsys, command, str(path))
+    assert (code, built) == (1, [limit])
+    assert "stopped at from_edges" in err
+
+
 def test_canon_rejects_orders_above_its_size_limit(capsys, monkeypatch):
     """Z2053, the least prime above the limit, exits 1 before the graph is
     built; Z2039, the greatest prime below it, gets past the guard (stopped
@@ -538,6 +581,23 @@ def test_counterexample_exits_two_with_diff(capsys):
     assert code == 2
     assert "counterexample mismatch" in err
     assert "expected" in err and "computed" in err
+
+
+def test_counterexample_reports_each_round_once_per_side(capsys):
+    """The diff is the whole report: every computed and expected round
+    appears once, with no second listing of the computed rounds."""
+    assert run(capsys, "counterexample") == (2, "", (
+        "cayleywl: counterexample mismatch\n"
+        "counterexample round class-lists diverge from the reference\n"
+        "  round 0: computed 0|1,2,3,4,5,6,7,8,9,10,11,12,13,14,15\n"
+        "  round 0: expected 0|1,2,3,4,5,6,7,8,9,10,11,12,13,14,15\n"
+        "  round 1: computed 0|1,3,4,5,12,15|2,6,7,8,9,10,11,13,14\n"
+        "  round 1: expected 0|1,3,4,5,12,15|2,6,7,8,9,10,11,13,14\n"
+        "! round 2: computed <absent>\n"
+        "! round 2: expected 0|1,3,4,5,12,15|2,7,8,10,13|6,9,11,14\n"
+        "! round 3: computed <absent>\n"
+        "! round 3: expected 0|1,3,4,12|2,7,8,13|5,15|6,9,11,14|10\n"
+    ))
 
 
 def test_zero_vertex_adjacency_file(tmp_path, capsys):

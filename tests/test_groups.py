@@ -19,7 +19,7 @@ from cayleywl import (
     stabilizer_subgroup,
     unit_multipliers,
 )
-from cayleywl.groups import is_prime
+from cayleywl.groups import _MILLER_RABIN_BOUND, is_prime
 from invariants import is_prime_oracle, power_classes_oracle
 
 
@@ -113,14 +113,41 @@ def test_is_prime_rejects_strong_pseudoprimes_and_carmichael_numbers():
 def test_is_prime_answers_large_orders_at_once():
     """Primes near 10^14 and 10^18, the Mersenne prime 2^61 - 1 and a
     product of two primes near 10^12 take microseconds; trial division spent
-    1.2 s on 10^14 + 31.  Above the Miller-Rabin bound the check is trial
-    division again, which finds a small factor at once."""
+    1.2 s on 10^14 + 31.  Above the Miller-Rabin bound the check refuses,
+    even where a small factor would be found at once."""
     started = time.perf_counter()
     assert is_prime(10**14 + 31) and is_prime(10**18 + 3) and is_prime(2**61 - 1)
     assert not is_prime(1000000000039 * 1000000000061)
     assert time.perf_counter() - started < 0.5
-    assert not is_prime(43 * (10**24 + 7)) and not is_prime(1009 * (10**22 + 9))
+    for n in (43 * (10**24 + 7), 1009 * (10**22 + 9)):
+        with pytest.raises(ValueError, match="^prime check limited to numbers below"):
+            is_prime(n)
     assert is_prime(13)
+
+
+# the greatest prime below the Miller-Rabin bound and the least one above it
+_PRIME_BELOW_BOUND = 3317044064679887385961813
+_PRIME_ABOVE_BOUND = 3317044064679887385962123
+
+
+def test_is_prime_answers_below_its_bound_and_refuses_from_it_at_once():
+    """Below the bound the check answers: bound - 2 has the factor 17, and
+    the greatest prime below it passes every Miller-Rabin base.  The bound
+    (a strong pseudoprime to every base) and the least prime above it raise
+    at once; trial division there would take about 10^12 steps."""
+    assert _MILLER_RABIN_BOUND == 3_317_044_064_679_887_385_961_981
+    started = time.perf_counter()
+    assert not is_prime(_MILLER_RABIN_BOUND - 2) and (_MILLER_RABIN_BOUND - 2) % 17 == 0
+    assert is_prime(_PRIME_BELOW_BOUND)
+    assert time.perf_counter() - started < 0.1
+    for n in (_MILLER_RABIN_BOUND, _PRIME_ABOVE_BOUND):
+        started = time.perf_counter()
+        with pytest.raises(ValueError) as err:
+            is_prime(n)
+        assert time.perf_counter() - started < 0.1
+        assert str(err.value) == (
+            f"prime check limited to numbers below 3317044064679887385961981, got {n}"
+        )
 
 
 def test_unit_multipliers():

@@ -12,10 +12,9 @@ from cayleywl import (
     stabilizer_subgroup,
     uniform_coloring,
 )
-from cayleywl.spectral import group_spectrum
 from cayleywl.tinhofer import individualize
 from cayleywl.wl import partition_from_coloring
-from invariants import all_connection_sets, check_spectrum_grouping
+from invariants import all_connection_sets, check_spectrum_grouping, group_spectrum
 
 
 def test_stabilizer_examples():
