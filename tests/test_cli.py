@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import json
 import random
 import time
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations
 
@@ -16,7 +18,7 @@ from cayleywl.groups import GroupSpec
 from cayleywl.spectral import SPECTRUM_LIMIT
 from cayleywl.sweep import JOBS_LIMIT, SweepConfig, round_bound, run_sweep
 from cayleywl.tinhofer import CANON_LIMIT, TINHOFER_LIMIT
-from cayleywl.wl import WL2_LIMIT, induced_smodule, parse_cayley_graph, wl2_stabilize
+from cayleywl.wl import CR_LIMIT, WL2_LIMIT, induced_smodule, parse_cayley_graph, wl2_stabilize
 
 
 def run(capsys, *argv):
@@ -524,6 +526,7 @@ def test_wl2_rejects_graphs_above_its_size_limit(tmp_path, capsys, monkeypatch):
 HEADER_LIMITS = {
     "wl2": (WL2_LIMIT, "wl2 limited to graphs of at most 256 vertices"),
     "tinhofer-check": (TINHOFER_LIMIT, "tinhofer-check limited to at most 2048 vertices"),
+    "cr": (CR_LIMIT, "cr limited to graphs of at most 2097152 vertices and arcs"),
 }
 
 
@@ -549,6 +552,101 @@ def test_file_header_over_the_limit_exits_before_any_list(tmp_path, capsys, monk
     code, _, err = run(capsys, command, str(path))
     assert (code, built) == (1, [limit])
     assert "stopped at from_edges" in err
+
+
+@pytest.fixture(scope="module")
+def over_limit_file(tmp_path_factory):
+    """A header of 3 000 000 vertices, over every header limit, and 8.6 MB
+    of edge lines on vertices of that size."""
+    path = tmp_path_factory.mktemp("over") / "over.adj"
+    with path.open("w") as f:
+        f.write("3000000\n")
+        f.writelines(f"{h} {h + 1}\n" for h in range(2_000_000, 2_540_000))
+    assert path.stat().st_size > 8 << 20
+    return path
+
+
+@pytest.mark.parametrize("command", list(HEADER_LIMITS))
+def test_over_limit_header_costs_only_its_first_chunk(over_limit_file, capsys, command):
+    """The header is checked once the first 64 KiB chunk is read, so the
+    limit message costs under 1 MB traced, not the file's size."""
+    message = HEADER_LIMITS[command][1]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = run(capsys, command, str(over_limit_file))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (1, "", f"cayleywl: {message}, got 3000000\n")
+    assert peak < 1 << 20, peak
+
+
+def test_cr_rejects_descriptors_above_its_size_limit(capsys, monkeypatch):
+    """A descriptor's size is n * max(1, |con|): above CR_LIMIT it exits 1
+    before the start coloring; at the limit, with one connection element,
+    none or two, it gets past the guard (stopped here at the coloring)."""
+    colored = []
+
+    def stopped(n):
+        colored.append(n)
+        raise ValueError("stopped at the start coloring")
+
+    monkeypatch.setattr(cayleywl.cli, "uniform_coloring", stopped)
+    assert CR_LIMIT == 2_097_152
+    half = CR_LIMIT // 2
+    over = {
+        f"Z{CR_LIMIT + 1}:1": CR_LIMIT + 1,
+        f"Z{CR_LIMIT + 1}:": CR_LIMIT + 1,
+        f"Z{half + 1}:1,2": CR_LIMIT + 2,
+        "Z100000000:1": 100_000_000,
+    }
+    message = "cayleywl: cr limited to graphs of at most 2097152 vertices and arcs, got {}\n"
+    for graph, size in over.items():
+        assert run(capsys, "cr", graph) == (1, "", message.format(size))
+    assert colored == []
+    for graph in (f"Z{CR_LIMIT}:1", f"Z{CR_LIMIT}:", f"Z{half}:1,2", "Z1024xZ2048:(0,1)"):
+        assert run(capsys, "cr", graph) == (1, "", "cayleywl: stopped at the start coloring\n")
+    assert colored == [CR_LIMIT, CR_LIMIT, half, CR_LIMIT]
+
+
+DESCRIPTOR_ONLY = {
+    "smodule": "smodule needs a Cayley graph input",
+    "spectrum": "spectrum needs a cyclic Cayley graph input",
+    "canon": "canon needs a Cayley graph input",
+}
+
+
+@pytest.mark.parametrize("command", list(DESCRIPTOR_ONLY))
+def test_descriptor_commands_read_no_file(tmp_path, capsys, monkeypatch, command):
+    """smodule, spectrum and canon take descriptors only: a path to a good
+    adjacency file, to a malformed one or to none exits 1 with the
+    command's message and never reaches parse_adjacency (stubbed here to
+    raise)."""
+
+    def refused(stream, check_order=None):
+        raise AssertionError("adjacency file parsed")
+
+    monkeypatch.setattr(cayleywl.cli, "parse_adjacency", refused)
+    good, bad = tmp_path / "good.adj", tmp_path / "bad.adj"
+    good.write_text("7\n0 1\n")
+    bad.write_text("x\n")
+    message = f"cayleywl: {DESCRIPTOR_ONLY[command]} at position 0\n"
+    for path in (good, bad, tmp_path / "missing.adj"):
+        assert run(capsys, command, str(path)) == (1, "", message)
+
+
+@pytest.mark.parametrize("command", ["cr", "wl2", "tinhofer-check"])
+def test_undecodable_byte_is_reported_at_its_line(tmp_path, capsys, command):
+    """An undecodable byte on line 3, in the first chunk, and on line
+    40 003, past it, exits 1 with one message naming its line, which shows
+    the byte escaped."""
+    path = tmp_path / "undecodable.adj"
+    for filler, line in ((1, 3), (40_001, 40_003)):
+        path.write_bytes(b"7\n" + b"0 1\n" * filler + b"2 \xff3\n1 2\n")
+        assert run(capsys, command, str(path)) == (
+            1, "", f"cayleywl: expected integer, got '\\udcff3' at position {line}\n"
+        )
 
 
 def test_canon_rejects_orders_above_its_size_limit(capsys, monkeypatch):

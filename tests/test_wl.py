@@ -1,4 +1,5 @@
 import gc
+import io
 import pickle
 import random
 import time
@@ -686,13 +687,13 @@ def test_parse_cayley_graph_errors_carry_positions():
 
 
 def test_parse_adjacency():
-    g = parse_adjacency("3\n0 1\n1 2\n")
+    g = parse_adjacency(io.StringIO("3\n0 1\n1 2\n"))
     assert g.n == 3 and g.edge_count == 2
     assert g.has_edge(0, 1) and not g.has_edge(1, 0)
     with pytest.raises(GraphFormatError):
-        parse_adjacency("")
+        parse_adjacency(io.StringIO(""))
     with pytest.raises(GraphFormatError):
-        parse_adjacency("3\n0 1 2\n")
+        parse_adjacency(io.StringIO("3\n0 1 2\n"))
 
 
 # every line boundary of str.splitlines
@@ -712,20 +713,29 @@ def _messy_text(rng: random.Random) -> str:
     return "".join(parts)
 
 
-def test_chunked_lines_match_splitlines(monkeypatch):
-    r"""The chunked reader yields text.splitlines() at every chunk size from
-    1 to 8 characters, including where a chunk's least end falls on the
+def test_chunked_lines_match_splitlines(tmp_path, monkeypatch):
+    r"""The chunked reader yields text.splitlines() from an io.StringIO, and
+    the lines of read_text() from a file written as bytes, at every chunk
+    size from 1 to 8 characters, including where a chunk's read ends on the
     "\r" of a "\r\n"."""
     rng = random.Random(15)
     texts = [_messy_text(rng) for _ in range(2000)]
-    # "\r" at every offset 0..9, so with each chunk size some chunk's least
-    # end is the "\r" of a "\r\n" pair
+    # "\r" at every offset 0..9, so with each chunk size some chunk's read
+    # ends on the "\r" of a "\r\n" pair
     texts += ["0" * k + "\r\n" + "1 2\r\n\r\n" * 3 for k in range(10)]
     texts += ["", "\n", "\r\n", "\r", "a", "\n\n\r\r\n\n"]
+    texts += ["0 1" + end for end in LINE_BREAKS]
+    paths = [tmp_path / f"{i}.adj" for i in range(len(texts))]
+    for text, path in zip(texts, paths):
+        path.write_bytes(text.encode())
     for chunk in range(1, 9):
         monkeypatch.setattr(cayleywl.wl, "_LINE_CHUNK", chunk)
-        for text in texts:
-            assert list(cayleywl.wl._text_lines(text)) == text.splitlines(), (chunk, text)
+        for text, path in zip(texts, paths):
+            lines = cayleywl.wl._text_lines(io.StringIO(text))
+            assert list(lines) == text.splitlines(), (chunk, text)
+            with path.open() as stream:
+                lines = list(cayleywl.wl._text_lines(stream))
+            assert lines == path.read_text().splitlines(), (chunk, text)
 
 
 @pytest.mark.parametrize("bad", ["0 x", "0 1 2", "0 7", "3 3", "-1 0"])
@@ -745,7 +755,7 @@ def test_adjacency_error_position_past_the_first_chunk(bad, newline):
     # a random "\r" break and an empty line's "\n" break merge into one "\r\n"
     assert expected == 70001 or newline is None and 60000 < expected < 70001
     with pytest.raises(GraphFormatError) as err:
-        parse_adjacency(text)
+        parse_adjacency(io.StringIO(text))
     assert err.value.position == expected
     assert str(err.value).endswith(f" at position {expected}")
 
@@ -770,7 +780,9 @@ def test_adjacency_file_costs_what_its_descriptor_does():
     p = 10007
     con = ladder_connection_set(p)
     text = f"{p}\n" + "".join(f"{h} {(h + s) % p}\n" for s in con for h in range(p))
-    parsed, parse_retained, parse_peak = _traced(lambda: parse_adjacency(text))
+    # the stream, like the text before it, is input made outside the trace
+    stream = io.StringIO(text)
+    parsed, parse_retained, parse_peak = _traced(lambda: parse_adjacency(stream))
     built, build_retained, build_peak = _traced(lambda: build_cayley(GroupSpec((p,)), con))
     assert parsed == built
     assert parse_retained <= 1.05 * build_retained, (parse_retained, build_retained)
