@@ -13,7 +13,6 @@ orbits are memoized per partition of a copy, which is all they depend on.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Optional, Sequence
@@ -34,87 +33,76 @@ def individualize(c: VertexColoring, *vertices: int) -> VertexColoring:
 
 
 # ---------------------------------------------------------------------------
-# color-preserving bijection search
+# color-preserving automorphism search
 # ---------------------------------------------------------------------------
 
 def color_bijections(
-    a: DiGraph,
-    b: DiGraph,
-    colors_a: Sequence[int],
-    colors_b: Sequence[int],
-    v0: int,
-    w0: int,
+    dg: DiGraph, colors: Sequence[int], v0: int, w0: int
 ) -> Optional[tuple[int, ...]]:
-    """The first bijection a -> b preserving colors and adjacency with
-    v0 -> w0, or None when there is none.
+    """The first color-preserving automorphism of dg with v0 -> w0, or None
+    when there is none.
 
-    Vertices are placed in breadth-first order from v0 over the underlying
-    undirected graph of a.  A vertex reached from a placed neighbor u draws
-    its candidates from the out- or in-neighbors of u's image, matching the
-    direction of the edge; only the first vertex of a component without
-    placed vertices scans its color class, taken least (class size, color,
-    vertex) first.  A candidate w for v is consistent when the placed out-
-    and in-neighbors of w are exactly the images of the placed out- and
-    in-neighbors of v: set intersections in O(degree) instead of an edge
-    test against every placed vertex.  Color multisets need no comparison:
-    a color-preserving injection between two n-vertex graphs exists only
-    when they are equal."""
-    n = a.n
-    if b.n != n or colors_a[v0] != colors_b[w0]:
-        return None
+    Vertices are placed breadth-first from v0, walking each placed vertex's
+    out-list, then its in-list.  A vertex reached from a placed u draws its
+    candidates from the out- or in-list of u's image, as its arc leaves or
+    enters u; only the first vertex of a component without placed vertices
+    scans its color class, taken least (class size, color, vertex) first,
+    after v0.  A candidate w for v is consistent when the placed out- and
+    in-neighbors of w are exactly the images of the placed out- and
+    in-neighbors of v: set intersections in O(degree) instead of an arc
+    test against every placed vertex."""
+    n = dg.n
     pool: dict[int, list[int]] = {}
-    for w, c in enumerate(colors_b):
+    for w, c in enumerate(colors):
         pool.setdefault(c, []).append(w)
-    out_a, in_a = a._out_sets, a._in_sets
-    out_b, in_b = b._out_sets, b._in_sets
+    outs, ins = dg._out_sets, dg._in_sets
     mapping = [-1] * n
-    mapping[v0] = w0
-    placed, image = {v0}, {w0}
+    placed, image = set(), set()
     mapped = mapping.__getitem__
 
     def consistent(v: int, w: int) -> bool:
         return (
-            colors_a[v] == colors_b[w]
-            and set(map(mapped, out_a[v] & placed)) == out_b[w] & image
-            and set(map(mapped, in_a[v] & placed)) == in_b[w] & image
+            colors[v] == colors[w]
+            and set(map(mapped, outs[v] & placed)) == outs[w] & image
+            and set(map(mapped, ins[v] & placed)) == ins[w] & image
         )
 
-    # placement order: (v, u, forward) draws v's candidates from the out-
-    # (forward) or in-neighbors of u's image, or from v's color pool if u < 0
-    steps: list[tuple[int, int, bool]] = []
-    seen = [v == v0 for v in range(n)]
-    neighbors = a._neighbors
+    # placement order: (v, u, lists) draws v's candidates from lists[mapping[u]],
+    # the out- or in-list of u's image; a root (u < 0) from its color pool, v0 from w0
+    steps: list[tuple[int, int, tuple[tuple[int, ...], ...]]] = []
+    seen = [False] * n
 
-    def spread(queue: deque[int]) -> None:
-        while queue:
-            u = queue.popleft()
-            for v in neighbors[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    steps.append((v, u, v in out_a[u]))
-                    queue.append(v)
+    def roots() -> Iterator[int]:
+        yield v0
+        if len(steps) < n:  # sorted only when v0's component leaves vertices out
+            yield from sorted(range(n), key=lambda v: (len(pool[colors[v]]), colors[v], v))
 
-    spread(deque((v0,)))
-    unseen = [v for v in range(n) if not seen[v]]
-    unseen.sort(key=lambda v: (len(pool.get(colors_a[v], ())), colors_a[v], v))
-    for root in unseen:
-        if not seen[root]:
-            seen[root] = True
-            steps.append((root, -1, True))
-            spread(deque((root,)))
+    head = 0  # steps are also the breadth-first queue, which stops once all are placed
+    for root in roots():
+        if seen[root]:
+            continue
+        seen[root] = True
+        steps.append((root, -1, ()))
+        while head < len(steps) < n:
+            u = steps[head][0]
+            head += 1
+            for lists in (dg.out_neighbors, dg.in_neighbors):
+                for v in lists[u]:
+                    if not seen[v]:
+                        seen[v] = True
+                        steps.append((v, u, lists))
 
     # tried[k]: candidates tried at level k; a resumed level first undoes its placement
-    depth, k = len(steps), 0
-    tried = [0] * depth
-    while 0 <= k < depth:
-        v, u, forward = steps[k]
+    k, tried = 0, [0] * n
+    while 0 <= k < n:
+        v, u, lists = steps[k]
         if tried[k]:
             placed.discard(v)
             image.discard(mapping[v])
-        if u < 0:
-            candidates = pool.get(colors_a[v], ())
+        if u >= 0:
+            candidates = lists[mapping[u]]
         else:
-            candidates = (b.out_neighbors if forward else b.in_neighbors)[mapping[u]]
+            candidates = pool[colors[v]] if k else (w0,)
         for i in range(tried[k], len(candidates)):
             w = candidates[i]
             if w not in image and consistent(v, w):
@@ -127,12 +115,13 @@ def color_bijections(
         else:
             tried[k] = 0
             k -= 1
-    return tuple(mapping) if k == depth else None
+    return tuple(mapping) if k == n else None
 
 
 def coloring_orbits(dg: DiGraph, colors: Sequence[int]) -> tuple[int, ...]:
     """Orbit label per vertex under the color-preserving automorphism group.
 
+    Twins of one color (see :attr:`DiGraph._twins`) are merged first.
     Orbits are discovered by automorphism searches between the orbit roots
     of each color class; every found automorphism merges all its vertex
     orbits at once.  A vertex that is no longer its own root is skipped on
@@ -152,12 +141,16 @@ def coloring_orbits(dg: DiGraph, colors: Sequence[int]) -> tuple[int, ...]:
         if rx != ry:
             parent[max(rx, ry)] = min(rx, ry)
 
+    for twins in dg._twins:
+        first: dict[int, int] = {}
+        for v in twins:
+            union(first.setdefault(colors[v], v), v)
     for members in label_classes(colors):
         for i, v0 in enumerate(members):
             for v in members[i + 1 :]:
                 if parent[v0] != v0 or parent[v] != v:
                     continue
-                perm = color_bijections(dg, dg, colors, colors, v0, v)
+                perm = color_bijections(dg, colors, v0, v)
                 if perm is not None:
                     for u in range(n):
                         union(u, perm[u])

@@ -105,12 +105,16 @@ class DiGraph:
         return tuple(frozenset(s) for s in self.in_neighbors)
 
     @cached_property
-    def _neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """Neighbors in the underlying undirected graph, ascending."""
-        return tuple(
-            tuple(sorted(set(outs).union(ins)))
-            for outs, ins in zip(self.out_neighbors, self.in_neighbors)
-        )
+    def _twins(self) -> tuple[tuple[int, ...], ...]:
+        """Buckets of two or more twins, vertices with equal out- and in-lists
+        or equal closed lists (each list with the vertex itself added):
+        swapping two twins and fixing the rest is an automorphism."""
+        buckets: dict[tuple, list[int]] = {}
+        for v, (outs, ins) in enumerate(zip(self.out_neighbors, self.in_neighbors)):
+            buckets.setdefault((False, outs, ins), []).append(v)
+            closed = (True, tuple(sorted((*outs, v))), tuple(sorted((*ins, v))))
+            buckets.setdefault(closed, []).append(v)
+        return tuple(tuple(twins) for twins in buckets.values() if len(twins) > 1)
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._out_sets[u]

@@ -449,9 +449,11 @@ def color_bijections_oracle(
 
     Every candidate comes from the color class, so this is the oracle for
     the neighborhood-driven :func:`cayleywl.tinhofer.color_bijections`,
-    which answers one query: the first such bijection with one pair
-    (v0, w0) forced, or None.  Its first result with ``forced=[(v0, w0)]``
-    exists exactly when that answer is not None."""
+    which answers one query on one colored digraph: the first
+    color-preserving automorphism with one pair (v0, w0) forced, or None.
+    With ``b`` and ``colors_b`` the same as ``a`` and ``colors_a``, its
+    first result with ``forced=[(v0, w0)]`` exists exactly when that answer
+    is not None."""
     n = a.n
     if b.n != n or Counter(colors_a) != Counter(colors_b):
         return

@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 import cayleywl.sweep
-from cayleywl import tinhofer_iso_test
+from cayleywl import individualize, tinhofer_iso_test, uniform_coloring
 from cayleywl.sweep import (
     BoundViolation,
     CounterexampleMismatch,
@@ -14,6 +14,7 @@ from cayleywl.sweep import (
     SAMPLE_LIMIT,
     SweepConfig,
     SweepRecord,
+    _orbits,
     _stable_modules,
     compute_counterexample_rounds,
     con_to_mask,
@@ -28,7 +29,7 @@ from cayleywl.sweep import (
 )
 from cayleywl.group_ring import stabilize_refine
 from cayleywl.groups import GroupSpec
-from cayleywl.wl import DiGraph, initial_cayley_smodule
+from cayleywl.wl import CayleyGraph, DiGraph, cr_refine, initial_cayley_smodule, parse_cayley_graph
 
 
 def test_round_bound_values():
@@ -187,6 +188,32 @@ def test_memoized_modules_match_plain_stabilization(n):
         stabilize_refine(initial_cayley_smodule(spec, mask_to_con(mask, n))) for mask in masks
     ]
     assert _stable_modules(spec, masks) == [(t.rounds, t.final.classes) for t in plain]
+
+
+def _wl2_and_individualized_cr(g: CayleyGraph) -> tuple[tuple, tuple]:
+    """The classes of 2-WL's stable partition (row 0 of the pair coloring,
+    computed on the module path) and of color refinement's stable coloring
+    from vertex 0 individualized."""
+    wl2 = stabilize_refine(initial_cayley_smodule(g.spec, g.con)).final.classes
+    return wl2, cr_refine(g, individualize(uniform_coloring(g.n), 0)).final
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_wl2_equals_cr_with_the_identity_individualized_over_z_n(n):
+    """Over Z_n, n <= 16, 2-WL gains nothing over color refinement with
+    the identity individualized, on every unit/complement orbit
+    representative the sweep stabilizes."""
+    spec = GroupSpec((n,))
+    reps, _ = _orbits(spec, range(0, 1 << n, 2))
+    for mask in reps:
+        wl2, cr = _wl2_and_individualized_cr(CayleyGraph(spec, mask_to_con(mask, n)))
+        assert wl2 == cr, (n, mask_to_con(mask, n))
+
+
+def test_wl2_is_strictly_finer_than_individualized_cr_on_a_z4xz4_set():
+    wl2, cr = _wl2_and_individualized_cr(parse_cayley_graph("Z4xZ4:(0,1),(1,0),(1,1),(1,2),(2,1)"))
+    assert (len(wl2), len(cr)) == (10, 9)
+    assert all(any(set(a) <= set(b) for b in cr) for a in wl2)
 
 
 @pytest.mark.parametrize("cross_check", [False, True])
