@@ -121,6 +121,8 @@ def color_bijections(
 def coloring_orbits(dg: DiGraph, colors: Sequence[int]) -> tuple[int, ...]:
     """Orbit label per vertex under the color-preserving automorphism group.
 
+    A graph with more than half of all arcs is searched as its complement
+    (see :attr:`DiGraph._complement`), which has the same automorphisms.
     Twins of one color (see :attr:`DiGraph._twins`) are merged first.
     Orbits are discovered by automorphism searches between the orbit roots
     of each color class; every found automorphism merges all its vertex
@@ -128,6 +130,8 @@ def coloring_orbits(dg: DiGraph, colors: Sequence[int]) -> tuple[int, ...]:
     either side: its root's search decided the same pair.
     """
     n = dg.n
+    if 2 * dg.edge_count > n * (n - 1):
+        dg = dg._complement
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -196,8 +200,8 @@ def tinhofer_iso_test(g: Graph, h: Graph) -> IsoResult:
     id, least vertex index in each copy.
     """
     dg, dh = as_digraph(g), as_digraph(h)
-    c_g, certificate_g = _refine_copy(dg, (0,) * dg.n)
-    c_h, certificate_h = _refine_copy(dh, (0,) * dh.n)
+    c_g, certificate_g = _refine_copy(dg)
+    c_h, certificate_h = _refine_copy(dh)
     history: tuple[tuple[int, int], ...] = ()
     # equal certificates can still hide unequal multiplicities, which _eligible sees
     while certificate_g == certificate_h:
@@ -208,8 +212,8 @@ def tinhofer_iso_test(g: Graph, h: Graph) -> IsoResult:
             where_h = dict(zip(c_h, range(dh.n)))
             return IsoResult("isomorphic", tuple(map(where_h.__getitem__, c_g)), history)
         v, w = c_g.index(eligible[0]), c_h.index(eligible[0])
-        c_g, certificate_g = _refine_copy(dg, c_g, v)
-        c_h, certificate_h = _refine_copy(dh, c_h, w)
+        c_g, certificate_g = _refine_copy(dg, (c_g, certificate_g[-1]), v)
+        c_h, certificate_h = _refine_copy(dh, (c_h, certificate_h[-1]), w)
         history += ((v, w),)
     return IsoResult("non-isomorphic", None, history)
 
@@ -223,15 +227,20 @@ class TinhoferReport:
 
 # a copy run: final colors, and the sorted distinct signatures of each round
 _CopyRun = tuple[tuple[int, ...], list[list[tuple[int, ...]]]]
+# a stable copy coloring, and the last certificate entry of the run that gave it
+_Stable = tuple[tuple[int, ...], list[tuple[int, ...]]]
 # a search node, the stable colorings of both copies, and a choice sequence
 _Node = tuple[tuple[int, ...], tuple[int, ...]]
 _Choices = tuple[tuple[int, int], ...]
+# the last certificate entries of a node's copy runs
+_Lasts = tuple[list[tuple[int, ...]], list[tuple[int, ...]]]
 
 
-def _refine_copy(dg: DiGraph, colors: tuple[int, ...], v: Optional[int] = None) -> _CopyRun:
-    """Color refinement of dg from ``colors``, with v individualized when
-    given: the final colors and the certificate, the sorted distinct
-    signatures of every round.
+def _refine_copy(dg: DiGraph, parent: Optional[_Stable] = None, v: Optional[int] = None) -> _CopyRun:
+    """Color refinement of dg from the uniform coloring or, given a stable
+    coloring ``parent = (colors, last)``, from ``colors`` with v
+    individualized: the final colors and the certificate, the sorted
+    distinct signatures of every round.
 
     On a disjoint union whose copies start from its halves, with v
     individualized in one copy and a partner in the other, the union ranks
@@ -244,21 +253,75 @@ def _refine_copy(dg: DiGraph, colors: tuple[int, ...], v: Optional[int] = None) 
     every color is never discrete, so it always confirms its fixed point,
     and so does the certificate, even on a discrete copy.
 
-    ``colors`` holds every id below its maximum and, when v is given, v's
-    color is held by another vertex too, as at a splitting node.  So the
-    fresh id ``max + 1`` individualizes v as :func:`individualize` would,
-    with no ids to re-rank.
+    ``colors`` is the final coloring of a copy run and ``last`` the last
+    entry of that run's certificate.  v's color is held by another vertex
+    too, as at a splitting node, so the fresh id ``k = len(last)``
+    individualizes v as :func:`individualize` would, with no ids to
+    re-rank.
+
+    Round 1 is read off the start; :func:`rank_signatures` gathers from
+    round 2 on.  From the uniform coloring, x's signature is 0 followed by
+    d(x) zeros, d(x) its in-degree, and such tuples sort as their lengths,
+    so round 1 ranks the in-degrees.  From a stable coloring c, the
+    confirming round that produced ``last`` kept every id, so ``last``
+    holds one signature per class in id order: ``last[b]`` is
+    (b, sorted c over in(x)) for every x of class b.  Individualizing v
+    changes what round 1 gathers only at the out-neighbors x of v, where
+    one c(v) turns into k, the largest id: every such x of class b has the
+    hit signature of b, ``last[b]`` with one c(v) removed and k appended.
+    v, not its own in-neighbor, gathers as before under the fresh id, so
+    its signature (k, *last[c(v)][1:]) sorts last.  The hit signature of b
+    sorts after ``last[b]``: with j the last position of c(v) in
+    ``last[b]``, the two agree before j, and at j the hit one holds the
+    next larger item or k.  It sorts before ``last[b + 1]`` by its first
+    item.  So round 1's sorted distinct signatures are ``last`` with each
+    hit signature inserted after its class's own, which is dropped when
+    out(v) and v cover the class, and v's appended: O(k + deg(v)·d) work
+    for signatures of length at most d, and one relabel of the n ids,
+    with the ids and the entry a full gather would give.
     """
-    count = max(colors, default=-1) + 1
-    if v is not None:
-        colors = colors[:v] + (count,) + colors[v + 1 :]
-        count += 1
     certificate: list[list[tuple[int, ...]]] = []
-    while True:
-        refined = rank_signatures(colors, dg.in_colors(colors), certificate)
-        if len(certificate[-1]) == count:
-            return colors, certificate
-        colors, count = refined, len(certificate[-1])
+    if parent is None:
+        degrees = tuple(map(len, dg.in_neighbors))
+        certificate.append([(0,) * (d + 1) for d in sorted(set(degrees))])
+        refined, count = dense_rank(degrees), min(dg.n, 1)
+    else:
+        colors, last = parent
+        k, fresh = len(last), colors[v]
+        outs = dg.out_neighbors[v]
+        # met[b]: v's out-neighbors in class b; the new ids are own[b] for
+        # the other vertices of class b and hit[b] for these
+        met: dict[int, int] = {}
+        for x in outs:
+            met[colors[x]] = met.get(colors[x], 0) + 1
+        first: list[tuple[int, ...]] = []
+        own: list[int] = []
+        hit: dict[int, int] = {}
+        start = 0
+        for b in sorted(met):
+            own += range(len(first), len(first) + b - start)
+            first += last[start:b]
+            own.append(len(first))
+            signature = last[b]
+            if colors.count(b) > met[b] + (b == fresh):
+                first.append(signature)
+            j = signature.index(fresh, 1)
+            hit[b] = len(first)
+            first.append((*signature[:j], *signature[j + 1 :], k))
+            start = b + 1
+        own += range(len(first), len(first) + k - start)
+        first += last[start:]
+        first.append((k, *last[fresh][1:]))
+        relabeled = list(map(own.__getitem__, colors))
+        for x in outs:
+            relabeled[x] = hit[colors[x]]
+        relabeled[v] = len(first) - 1
+        certificate.append(first)
+        refined, count = tuple(relabeled), k + 1
+    while len(certificate[-1]) != count:
+        count = len(certificate[-1])
+        refined = rank_signatures(refined, dg.in_colors(refined), certificate)
+    return refined, certificate
 
 
 # a copy run of Z_p:1 takes p rounds of O(p) work and keeps every round's
@@ -305,12 +368,14 @@ def has_tinhofer_property(g: Graph, budget: int = 1_000_000) -> TinhoferReport:
         return orbit_memo[key]
 
     def children(
-        prefix: _Choices, c_g: tuple[int, ...], c_h: tuple[int, ...], eligible: list[int]
-    ) -> Iterator[tuple[_Choices, Optional[_Node]]]:
+        prefix: _Choices, node: _Node, lasts: _Lasts, eligible: list[int]
+    ) -> Iterator[tuple[_Choices, Optional[_Node], Optional[_Lasts]]]:
         """The children of a splitting node in canonical order, each with
-        its choice sequence; None stands for a child whose copy
-        certificates differ, a color-multiset mismatch.  One vertex per
-        orbit is tried in each copy: the least, which labels its orbit."""
+        its choice sequence and its copies' last certificate entries; None
+        stands for a child whose copy certificates differ, a color-multiset
+        mismatch.  One vertex per orbit is tried in each copy: the least,
+        which labels its orbit."""
+        (c_g, c_h), (last_g, last_h) = node, lasts
         orbit_g, orbit_h = orbits(c_g), orbits(c_h)
         for color in eligible:
             # this color's copy runs by vertex, shared when the copies agree
@@ -320,24 +385,28 @@ def has_tinhofer_property(g: Graph, budget: int = 1_000_000) -> TinhoferReport:
             ws = [w for w in range(n) if c_h[w] == color and orbit_h[w] == w]
             for v, w in product(vs, ws):
                 if v not in runs_g:
-                    runs_g[v] = _refine_copy(dg, c_g, v)
+                    runs_g[v] = _refine_copy(dg, (c_g, last_g), v)
                 if w not in runs_h:
-                    runs_h[w] = _refine_copy(dg, c_h, w)
+                    runs_h[w] = _refine_copy(dg, (c_h, last_h), w)
                 final_g, certificate_g = runs_g[v]
                 final_h, certificate_h = runs_h[w]
-                child = (final_g, final_h) if certificate_g == certificate_h else None
-                yield prefix + ((v, w),), child
+                choices = prefix + ((v, w),)
+                if certificate_g == certificate_h:
+                    yield choices, (final_g, final_h), (certificate_g[-1], certificate_h[-1])
+                else:
+                    yield choices, None, None
         finished.add((c_g, c_h))
 
-    root = _refine_copy(dg, (0,) * n)[0]
-    stack = [iter([((), (root, root))])]
+    root, certificate = _refine_copy(dg)
+    stack = [iter([((), (root, root), (certificate[-1],) * 2)])]
+    del certificate  # a node keeps its last certificate entries only
     nodes = 0
     while stack:
         visit = next(stack[-1], None)
         if visit is None:
             stack.pop()
             continue
-        choices, node = visit
+        choices, node, lasts = visit
         nodes += 1
         if nodes > budget:
             return TinhoferReport("budget-exceeded", None, nodes)
@@ -347,7 +416,7 @@ def has_tinhofer_property(g: Graph, budget: int = 1_000_000) -> TinhoferReport:
         if eligible is None:
             return TinhoferReport("false", choices, nodes)
         if eligible:
-            stack.append(children(choices, *node, eligible))
+            stack.append(children(choices, node, lasts, eligible))
     return TinhoferReport("true", None, nodes)
 
 
@@ -398,17 +467,22 @@ def canonical_form_prime_circulant(spec: GroupSpec, con: Iterable[int]) -> Canon
     dg = build_cayley(spec, con)
 
     def labeled(order: tuple[int, ...]) -> CanonicalForm:
-        rows = [dg._out_sets[i] for i in order]
-        code = "".join("1" if j in row else "0" for row in rows for j in order)
-        return CanonicalForm(order, code)
+        position = [0] * p
+        for j, i in enumerate(order):
+            position[i] = j
+        bits = ["0"] * (p * p)
+        for row, i in enumerate(order):
+            for j in dg.out_neighbors[i]:
+                bits[row * p + position[j]] = "1"
+        return CanonicalForm(order, "".join(bits))
 
     if dg.edge_count in (0, p * (p - 1)):
         return labeled(tuple(range(p)))
-    colors = _refine_copy(dg, (0,) * p)[0]
+    colors, certificate = _refine_copy(dg)
     for depth in range(3):
         repeated = _eligible(colors, colors)
         if not repeated:
             return labeled(tuple(sorted(range(p), key=colors.__getitem__)))
         if depth == 2:
             raise AssertionError("prime circulant not discrete after two individualizations")
-        colors = _refine_copy(dg, colors, colors.index(repeated[0]))[0]
+        colors, certificate = _refine_copy(dg, (colors, certificate[-1]), colors.index(repeated[0]))

@@ -116,6 +116,16 @@ class DiGraph:
             buckets.setdefault(closed, []).append(v)
         return tuple(tuple(twins) for twins in buckets.values() if len(twins) > 1)
 
+    @cached_property
+    def _complement(self) -> DiGraph:
+        """The loopless complement.  It has the same automorphisms, and
+        the same twin buckets: open twins of the one are closed twins of
+        the other."""
+        everyone = set(range(self.n))
+        return DiGraph.from_out_lists(
+            [sorted(everyone - heads - {u}) for u, heads in enumerate(self._out_sets)]
+        )
+
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._out_sets[u]
 

@@ -677,6 +677,26 @@ def tinhofer_search_oracle(g, budget: int = 1_000_000) -> TinhoferReport:
     return TinhoferReport("false", failure, nodes)
 
 
+def refine_copy_oracle(
+    dg: DiGraph, colors: tuple[int, ...], v: Optional[int] = None
+) -> tuple[tuple[int, ...], list[list[tuple[int, ...]]]]:
+    """A copy run that gathers every vertex in every round, its first
+    included: the oracle for :func:`cayleywl.tinhofer._refine_copy`, which
+    reads its first round off the uniform coloring or off the last
+    certificate entry of the run that gave ``colors``.  v, when given, gets
+    the fresh id ``max + 1``."""
+    count = max(colors, default=-1) + 1
+    if v is not None:
+        colors = colors[:v] + (count,) + colors[v + 1 :]
+        count += 1
+    certificate: list[list[tuple[int, ...]]] = []
+    while True:
+        refined = rank_signatures(colors, dg.in_colors(colors), certificate)
+        if len(certificate[-1]) == count:
+            return colors, certificate
+        colors, count = refined, len(certificate[-1])
+
+
 # ---------------------------------------------------------------------------
 # deterministic partition generators
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from invariants import (
     coloring_orbits_oracle,
     disjoint_union,
     is_isomorphism,
+    refine_copy_oracle,
     relabeled,
     tinhofer_iso_test_oracle,
     tinhofer_search_oracle,
@@ -218,8 +219,8 @@ def test_tinhofer_search_frees_copy_runs_color_by_color(monkeypatch):
     def freed():
         alive[0] -= 1
 
-    def tracked(dg, colors, v=None):
-        final, certificate = refine_copy(dg, colors, v)
+    def tracked(dg, parent=None, v=None):
+        final, certificate = refine_copy(dg, parent, v)
         certificate = _TrackedCertificate(certificate)
         weakref.finalize(certificate, freed)
         alive[0] += 1
@@ -512,6 +513,57 @@ def test_coloring_orbits_match_oracle_with_twins(case):
     assert coloring_orbits(dg, colors) == coloring_orbits_oracle(dg, colors)
 
 
+@st.composite
+def dense_digraphs(draw, max_n=9):
+    """A digraph of arc probability 0.6 to 0.95, colored uniformly or at
+    random."""
+    n = draw(st.integers(2, max_n))
+    density = draw(st.floats(0.6, 0.95))
+    rng = draw(st.randoms(use_true_random=False))
+    arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < density]
+    colors = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n) | st.just([0] * n))
+    return DiGraph.from_edges(n, arcs), tuple(colors)
+
+
+@given(dense_digraphs())
+def test_coloring_orbits_match_oracle_on_dense_digraphs(case):
+    dg, colors = case
+    assert coloring_orbits(dg, colors) == coloring_orbits_oracle(dg, colors)
+
+
+def test_complement_has_the_other_arcs_and_the_same_twins():
+    rng = random.Random(27)
+    for n in range(8):
+        arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.7]
+        dg = DiGraph.from_edges(n, arcs)
+        other = dg._complement
+        assert all(
+            other.has_edge(u, v) != dg.has_edge(u, v) for u in range(n) for v in range(n) if u != v
+        )
+        assert other.in_neighbors == transposed_in_neighbors(other)
+        assert set(other._twins) == set(dg._twins)
+
+
+def test_coloring_orbits_search_the_complement_of_a_dense_graph(monkeypatch):
+    """The complement of Cay(Z3^3, {1, 2, 5, 7}) has 22 of 26 arcs per
+    vertex; its orbit queries run on Cay(Z3^3, {1, 2, 5, 7}) itself."""
+    spec = GroupSpec((3, 3, 3))
+    dense = build_cayley(spec, set(range(1, 27)) - {1, 2, 5, 7})
+    searched = []
+    search = tinhofer.color_bijections
+
+    def recorded(dg, colors, v0, w0):
+        searched.append(dg)
+        return search(dg, colors, v0, w0)
+
+    monkeypatch.setattr(tinhofer, "color_bijections", recorded)
+    colors = (0,) + (1,) * 26
+    sparse = build_cayley(spec, (1, 2, 5, 7))
+    assert coloring_orbits(dense, colors) == coloring_orbits(sparse, colors)
+    assert searched and {id(dg) for dg in searched} == {id(dense._complement), id(sparse)}
+    assert dense._complement.out_neighbors == sparse.out_neighbors
+
+
 def _is_automorphism(g: DiGraph, colors, perm) -> bool:
     return all(colors[perm[v]] == colors[v] for v in range(g.n)) and all(
         g.has_edge(perm[u], perm[v]) == g.has_edge(u, v) for u in range(g.n) for v in range(g.n)
@@ -709,11 +761,11 @@ def test_tinhofer_search_tree_is_pinned(
             split.append((c_g, c_h, found))
         return found
 
-    def counted_refine_copy(dg, colors, v=None):
+    def counted_refine_copy(dg, parent=None, v=None):
         # the root is one run with no vertex individualized
         if v is not None:
-            runs.append((colors, v))
-        return refine_copy(dg, colors, v)
+            runs.append((parent[0], v))
+        return refine_copy(dg, parent, v)
 
     monkeypatch.setattr(tinhofer, "coloring_orbits", counted_orbits)
     monkeypatch.setattr(tinhofer, "_eligible", recorded_eligible)
@@ -734,6 +786,113 @@ def test_tinhofer_search_tree_is_pinned(
     # every pair is tried below a true verdict; a failure ends the search early
     assert set(runs) <= tried and len(runs) <= needed
     assert status != "true" or len(runs) == needed
+
+
+# ---------------------------------------------------------------------------
+# a copy run's first round, read off its start, against a full gather
+# ---------------------------------------------------------------------------
+
+def _assert_run_matches_oracle(dg, parent=None, v=None, refine_copy=tinhofer._refine_copy):
+    """The copy run, and the oracle's from the same start: colors and
+    certificates equal, list for list."""
+    got = refine_copy(dg, parent, v)
+    want = refine_copy_oracle(dg, parent[0] if parent else (0,) * dg.n, v)
+    assert got == want, (dg.out_neighbors, parent and parent[0], v)
+    assert type(got[0]) is tuple
+    return got
+
+
+def _walk_copy_runs(dg, rng, depth):
+    """The root run, every child of its stable coloring, then one seeded
+    path of up to depth individualizations, each run checked against the
+    oracle; the depth reached."""
+    colors, certificate = _assert_run_matches_oracle(dg)
+    for v in range(dg.n):
+        if colors.count(colors[v]) > 1:
+            _assert_run_matches_oracle(dg, (colors, certificate[-1]), v)
+    for reached in range(depth):
+        shared = [v for v in range(dg.n) if colors.count(colors[v]) > 1]
+        if not shared:
+            return reached
+        v = rng.choice(shared)
+        colors, certificate = _assert_run_matches_oracle(dg, (colors, certificate[-1]), v)
+    return depth
+
+
+def test_copy_runs_match_full_gather_on_digraphs():
+    """2 000 seeded digraphs on 0..16 vertices, of arc density 0 to 1, each
+    walked 0..4 individualizations deep."""
+    rng = random.Random(27)
+    in_degrees, depths = set(), set()
+    for _ in range(2000):
+        n = rng.randint(0, 16)
+        density = rng.random()
+        arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < density]
+        dg = DiGraph.from_edges(n, arcs)
+        in_degrees.update(min(len(ins), 2) for ins in dg.in_neighbors)
+        depths.add(_walk_copy_runs(dg, rng, rng.randint(0, 4)))
+    assert in_degrees == {0, 1, 2} and depths == {0, 1, 2, 3, 4}
+
+
+def test_copy_runs_match_full_gather_on_cayley_graphs():
+    """Twenty seeded connection sets, directed or closed under negation,
+    per group: Z2xZ8, Z4xZ4 and Z3^3, each walked four deep."""
+    rng = random.Random(27)
+    for moduli in ((2, 8), (4, 4), (3, 3, 3)):
+        spec = GroupSpec(moduli)
+        for i in range(20):
+            con = set(rng.sample(range(1, spec.order), rng.randint(1, spec.order - 1)))
+            if i % 2:
+                con |= {spec.neg(s) for s in con}
+            _walk_copy_runs(build_cayley(spec, con), rng, 4)
+
+
+def test_copy_runs_match_full_gather_on_the_pinned_trees(monkeypatch):
+    """Every copy run of the six pinned search trees, the roots included."""
+    runs = []
+    refine_copy = tinhofer._refine_copy
+
+    def checked(dg, parent=None, v=None):
+        runs.append(v)
+        return _assert_run_matches_oracle(dg, parent, v, refine_copy)
+
+    monkeypatch.setattr(tinhofer, "_refine_copy", checked)
+    for moduli, con in (
+        ((4, 4), (4, 12, 1, 3, 5, 15)),
+        ((2, 2, 2, 2), (8, 4, 2, 1)),
+        ((3, 3, 3), (9, 18, 3, 6, 1, 2)),
+        ((15,), (5, 10)),
+        ((2, 8), (8, 10, 14)),
+        ((2, 8), (2, 3, 4, 5, 6, 10, 11, 12, 13, 14)),
+    ):
+        has_tinhofer_property(CayleyGraph(GroupSpec(moduli), con))
+    assert runs.count(None) == 6 and len(runs) > 10_000
+
+
+def test_first_round_of_a_root_run_ranks_in_degrees():
+    """From the uniform coloring, round 1's signatures are 0 and one 0 per
+    in-neighbor, ascending; the 0-vertex graph confirms an empty round."""
+    assert tinhofer._refine_copy(DiGraph.from_edges(0, [])) == ((), [[]])
+    # in-degrees 0, 2, 1, 1
+    star = DiGraph.from_edges(4, [(0, 1), (2, 1), (1, 2), (0, 3)])
+    _, certificate = _assert_run_matches_oracle(star)
+    assert certificate[0] == [(0,), (0, 0), (0, 0, 0)]
+
+
+def test_first_round_of_a_child_run_inserts_hit_signatures():
+    """On the 4-cycle 0-1-2-3-0, individualizing 0 hits 1 and 3, whose
+    signature follows the one their class keeps on 2.  Individualizing 1
+    next hits 0 and 2, each the whole of its class, so those classes keep
+    only their hit signatures."""
+    cycle = DiGraph.from_edges(4, [(u, (u + s) % 4) for u in range(4) for s in (1, 3)])
+    colors, certificate = _assert_run_matches_oracle(cycle)
+    assert (colors, certificate) == ((0, 0, 0, 0), [[(0, 0, 0)]])
+    colors, certificate = _assert_run_matches_oracle(cycle, (colors, certificate[-1]), 0)
+    assert certificate[0] == [(0, 0, 0), (0, 0, 1), (1, 0, 0)]
+    assert colors == (2, 1, 0, 1)
+    colors, certificate = _assert_run_matches_oracle(cycle, (colors, certificate[-1]), 1)
+    assert certificate == [[(0, 1, 3), (1, 0, 2), (2, 1, 3), (3, 0, 2)]]
+    assert colors == (2, 3, 0, 1)
 
 
 # ---------------------------------------------------------------------------
