@@ -42,21 +42,19 @@ def color_bijections(
     """The first color-preserving automorphism of dg with v0 -> w0, or None
     when there is none.
 
-    Vertices are placed breadth-first from v0, walking each placed vertex's
-    out-list, then its in-list.  A vertex reached from a placed u draws its
-    candidates from the out- or in-list of u's image, as its arc leaves or
-    enters u; only the first vertex of a component without placed vertices
-    scans its color class, taken least (class size, color, vertex) first,
-    after v0.  A candidate w for v is consistent when the placed out- and
-    in-neighbors of w are exactly the images of the placed out- and
-    in-neighbors of v: set intersections in O(degree) instead of an arc
-    test against every placed vertex."""
+    It maps v0's weak component C onto w0's, D, and any color-preserving
+    isomorphism C -> D extends to one fixing all else, by its inverse on D
+    if D != C.  So only C is placed, breadth-first from v0, walking each
+    placed vertex's out-list, then its in-list; a vertex reached from a
+    placed u draws its candidates from the out- or in-list of u's image, as
+    its arc leaves or enters u.  A candidate w for v is consistent when the
+    placed out- and in-neighbors of w are exactly the images of the placed
+    out- and in-neighbors of v: set intersections in O(degree) instead of
+    an arc test against every placed vertex.  Placements are injective and
+    keep arcs both ways, so one of C is onto D when |C| = |D|."""
     n = dg.n
-    pool: dict[int, list[int]] = {}
-    for w, c in enumerate(colors):
-        pool.setdefault(c, []).append(w)
     outs, ins = dg._out_sets, dg._in_sets
-    mapping = [-1] * n
+    mapping = list(range(n))  # the identity off C, until D takes the inverse
     placed, image = set(), set()
     mapped = mapping.__getitem__
 
@@ -67,20 +65,14 @@ def color_bijections(
             and set(map(mapped, ins[v] & placed)) == ins[w] & image
         )
 
-    # placement order: (v, u, lists) draws v's candidates from lists[mapping[u]],
-    # the out- or in-list of u's image; a root (u < 0) from its color pool, v0 from w0
+    # breadth-first order of C, then of D if D != C: (v, u, lists) draws v's
+    # candidates from lists[mapping[u]], the image's out- or in-list; v0 draws w0
     steps: list[tuple[int, int, tuple[tuple[int, ...], ...]]] = []
     seen = [False] * n
-
-    def roots() -> Iterator[int]:
-        yield v0
-        if len(steps) < n:  # sorted only when v0's component leaves vertices out
-            yield from sorted(range(n), key=lambda v: (len(pool[colors[v]]), colors[v], v))
-
-    head = 0  # steps are also the breadth-first queue, which stops once all are placed
-    for root in roots():
+    head = size = 0  # steps are also the queue, which stops once all are seen
+    for root in (v0, w0):
         if seen[root]:
-            continue
+            break
         seen[root] = True
         steps.append((root, -1, ()))
         while head < len(steps) < n:
@@ -91,18 +83,18 @@ def color_bijections(
                     if not seen[v]:
                         seen[v] = True
                         steps.append((v, u, lists))
+        size = size or len(steps)  # |C|
+    if len(steps) not in (size, 2 * size):  # |D| != |C|
+        return None
 
     # tried[k]: candidates tried at level k; a resumed level first undoes its placement
-    k, tried = 0, [0] * n
-    while 0 <= k < n:
+    k, tried = 0, [0] * size
+    while 0 <= k < size:
         v, u, lists = steps[k]
         if tried[k]:
             placed.discard(v)
             image.discard(mapping[v])
-        if u >= 0:
-            candidates = lists[mapping[u]]
-        else:
-            candidates = pool[colors[v]] if k else (w0,)
+        candidates = lists[mapping[u]] if k else (w0,)
         for i in range(tried[k], len(candidates)):
             w = candidates[i]
             if w not in image and consistent(v, w):
@@ -115,7 +107,10 @@ def color_bijections(
         else:
             tried[k] = 0
             k -= 1
-    return tuple(mapping) if k == n else None
+    if k == size < len(steps):  # D != C takes the inverse
+        for v, _, _ in steps[:size]:
+            mapping[mapping[v]] = v
+    return tuple(mapping) if k == size else None
 
 
 def coloring_orbits(dg: DiGraph, colors: Sequence[int]) -> tuple[int, ...]:
@@ -156,8 +151,9 @@ def coloring_orbits(dg: DiGraph, colors: Sequence[int]) -> tuple[int, ...]:
                     continue
                 perm = color_bijections(dg, colors, v0, v)
                 if perm is not None:
-                    for u in range(n):
-                        union(u, perm[u])
+                    for u, w in enumerate(perm):
+                        if u != w:
+                            union(u, w)
     return tuple(find(v) for v in range(n))
 
 
@@ -376,7 +372,8 @@ def has_tinhofer_property(g: Graph, budget: int = 1_000_000) -> TinhoferReport:
         mismatch.  One vertex per orbit is tried in each copy: the least,
         which labels its orbit."""
         (c_g, c_h), (last_g, last_h) = node, lasts
-        orbit_g, orbit_h = orbits(c_g), orbits(c_h)
+        orbit_g = orbits(c_g)
+        orbit_h = orbit_g if c_g == c_h else orbits(c_h)
         for color in eligible:
             # this color's copy runs by vertex, shared when the copies agree
             runs_g: dict[int, _CopyRun] = {}

@@ -454,6 +454,12 @@ _TWO_CYCLES = DiGraph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5,
 _EDGELESS = DiGraph.from_edges(6, [])
 # rigid; the out-neighbor half of the consistency check alone lets 0 -> 1 -> 2 -> 0 through
 _RIGID = DiGraph.from_edges(3, [(0, 2), (1, 0), (1, 2), (2, 1)])
+# an isolated vertex beside an arc: placing {0} at 1 keeps every placed arc,
+# but 1's component is larger
+_POINT_AND_ARC = DiGraph.from_edges(3, [(1, 2)])
+# two directed triangles and an arc, which an automorphism between the
+# triangles leaves fixed
+_THREE_COMPONENTS = DiGraph.from_edges(8, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (6, 7)])
 
 
 @given(bijection_cases())
@@ -463,12 +469,15 @@ _RIGID = DiGraph.from_edges(3, [(0, 2), (1, 0), (1, 2), (2, 1)])
 @example((_RIGID, (0,) * 3, 0, 1))
 @example((_TWO_CYCLES, (0,) * 6, 0, 4))
 @example((_TWO_CYCLES, (0,) * 6, 1, 3))
+@example((_POINT_AND_ARC, (0,) * 3, 0, 1))
+@example((_THREE_COMPONENTS, (0,) * 8, 1, 5))
 # v0 and w0 differ in color; then two vertices of the middle class
 @example((_EDGELESS, (0, 0, 1, 1, 1, 2), 5, 3))
 @example((_EDGELESS, (0, 0, 1, 1, 1, 2), 2, 4))
 def test_color_bijections_match_oracle(case):
     """The search answers exactly when the oracle finds an automorphism
-    with v0 -> w0, and its answer is one."""
+    with v0 -> w0, and its answer is one, which fixes every vertex outside
+    the weak components of v0 and w0."""
     dg, colors, v0, w0 = case
     got = color_bijections(dg, colors, v0, w0)
     want = next(color_bijections_oracle(dg, dg, colors, colors, [(v0, w0)]), None)
@@ -476,6 +485,20 @@ def test_color_bijections_match_oracle(case):
     if got is not None:
         assert got[v0] == w0 and is_isomorphism(dg, dg, got)
         assert all(colors[got[v]] == colors[v] for v in range(dg.n))
+        moved = _weak_component(dg, v0) | _weak_component(dg, w0)
+        assert all(got[v] == v for v in range(dg.n) if v not in moved)
+
+
+def test_color_bijections_move_two_edges_of_a_perfect_matching():
+    """The matching {v, v + m} on 2m vertices: the query 0 -> 1 swaps the
+    edges {0, m} and {1, m + 1} and fixes the other m - 2 edges, and all
+    vertices share one orbit."""
+    m = 8
+    matching = build_cayley(GroupSpec((2 * m,)), (m,))
+    perm = color_bijections(matching, (0,) * (2 * m), 0, 1)
+    assert perm is not None and is_isomorphism(matching, matching, perm)
+    assert {v for v in range(2 * m) if perm[v] != v} == {0, 1, m, m + 1}
+    assert coloring_orbits(matching, (0,) * (2 * m)) == (0,) * (2 * m)
 
 
 @given(random_digraphs())
@@ -570,15 +593,19 @@ def _is_automorphism(g: DiGraph, colors, perm) -> bool:
     )
 
 
-def _connected(g: DiGraph) -> bool:
-    seen, stack = {0}, [0]
+def _weak_component(g: DiGraph, root: int) -> set[int]:
+    seen, stack = {root}, [root]
     while stack:
         u = stack.pop()
         for v in g.out_neighbors[u] + g.in_neighbors[u]:
             if v not in seen:
                 seen.add(v)
                 stack.append(v)
-    return len(seen) == g.n
+    return seen
+
+
+def _connected(g: DiGraph) -> bool:
+    return len(_weak_component(g, 0)) == g.n
 
 
 @st.composite
