@@ -21,14 +21,17 @@ from .partition import OrderedPartition, refine_to_stable
 from .tinhofer import individualize
 from .wl import (
     CayleyGraph,
+    PairColoring,
     VertexColoring,
     build_cayley,
+    check_wl2_order,
     cr_step,
     induced_smodule,
     initial_cayley_smodule,
+    initial_pair_coloring,
     partition_from_coloring,
     uniform_coloring,
-    wl2_stabilize,
+    wl2_step,
 )
 
 MCG_MULTIPLIER = 0xD1342543DE82EF95
@@ -192,10 +195,38 @@ def _stable_modules(spec: GroupSpec, masks: Sequence[int]) -> list[tuple[int, _C
 
 def _wl2_modules(spec: GroupSpec, masks: Sequence[int]) -> list[tuple[int, _Classes]]:
     """Rounds of the pair-coloring engine and the partition its stable
-    coloring induces, one per mask."""
+    coloring induces, one per mask.
+
+    A 2-WL round's partition depends only on its input's partition, and
+    the sweep reads only partitions and round counts, so every coloring is
+    relabelled by first occurrence and :func:`wl2_step` is memoized by the
+    relabelled colors.  Masks share stable partitions and their confirming
+    round, and S, -S and the complement share a start.  The memo is cleared
+    every ``_CHUNK`` masks, the size of a pool task, so serial and pooled
+    runs compute the same steps and memory is bounded by one chunk.
+    """
+    n = spec.order
+    check_wl2_order(n)
+    ids = list(range(n * n))  # one int object per id for every memo entry
+
+    def relabelled(c: PairColoring) -> PairColoring:
+        first = dict(zip(dict.fromkeys(c.colors), ids))
+        return PairColoring(n, tuple(map(first.__getitem__, c.colors)))
+
+    memo: dict[tuple[int, ...], PairColoring] = {}
+
+    def step(c: PairColoring) -> PairColoring:
+        refined = memo.get(c.colors)
+        if refined is None:
+            refined = memo[c.colors] = relabelled(wl2_step(c))
+        return refined
+
     out = []
-    for mask in masks:
-        trace = wl2_stabilize(build_cayley(spec, mask_to_con(mask, spec.order)))
+    for i, mask in enumerate(masks):
+        if i % _CHUNK == 0:
+            memo.clear()
+        g = build_cayley(spec, mask_to_con(mask, n))
+        trace = refine_to_stable(relabelled(initial_pair_coloring(g)), step)
         out.append((trace.rounds, induced_smodule(trace.final, spec).classes))
     return out
 

@@ -4,7 +4,6 @@ import json
 import random
 import time
 import tracemalloc
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -428,15 +427,15 @@ def test_sweep_bound_violation_exits_two(capsys, monkeypatch, jobs):
 def test_sweep_engine_disagreement_exits_two(capsys, monkeypatch):
     """The pair engine is made to disagree on 0x102 = {1, 8} of Z9 alone,
     whose module result is fanned out from its orbit's representative."""
-    pair_engine = cayleywl.sweep.wl2_stabilize
+    pair_engine = cayleywl.sweep._wl2_modules
 
-    def skewed(g):
-        trace = pair_engine(g)
-        if g.n == 9 and g.out_neighbors[0] == (1, 8):
-            return replace(trace, rounds=trace.rounds + 1)
-        return trace
+    def skewed(spec, masks):
+        return [
+            (rounds + (spec.order == 9 and mask == 0x102), classes)
+            for mask, (rounds, classes) in zip(masks, pair_engine(spec, masks))
+        ]
 
-    monkeypatch.setattr(cayleywl.sweep, "wl2_stabilize", skewed)
+    monkeypatch.setattr(cayleywl.sweep, "_wl2_modules", skewed)
     assert run(capsys, "sweep", "--n-min", "2", "--n-max", "10", "--cross-check") == (
         2, "", "cayleywl: engine disagreement at n=9 set=0x102: rounds 3 (pair) vs 2 (module)\n"
     )

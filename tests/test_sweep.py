@@ -14,8 +14,10 @@ from cayleywl.sweep import (
     SAMPLE_LIMIT,
     SweepConfig,
     SweepRecord,
+    _CHUNK,
     _orbits,
     _stable_modules,
+    _wl2_modules,
     compute_counterexample_rounds,
     con_to_mask,
     counterexample_graph,
@@ -29,7 +31,17 @@ from cayleywl.sweep import (
 )
 from cayleywl.group_ring import stabilize_refine
 from cayleywl.groups import GroupSpec
-from cayleywl.wl import CayleyGraph, DiGraph, cr_refine, initial_cayley_smodule, parse_cayley_graph
+from cayleywl.partition import OrderedPartition
+from cayleywl.wl import (
+    CayleyGraph,
+    DiGraph,
+    build_cayley,
+    cr_refine,
+    induced_smodule,
+    initial_cayley_smodule,
+    parse_cayley_graph,
+    wl2_stabilize,
+)
 
 
 def test_round_bound_values():
@@ -128,26 +140,37 @@ def orbit_count_oracle(n: int) -> int:
 @pytest.fixture
 def engine_calls(monkeypatch):
     """Per-order call counts of the two engines, and of the algebraic
-    engine's refinement round, as the sweep module calls them."""
-    calls = {"module": {}, "refine": {}, "pair": {}}
+    engine's refinement round and the pair engine's, as the sweep module
+    calls them: the algebraic engine counts stabilizations of partitions,
+    the pair engine starts of pair colorings."""
+    calls = {"module": {}, "refine": {}, "pair": {}, "wl2_step": {}}
 
     def counted(kind, fn, order):
         def wrapper(arg, *rest):
-            calls[kind][order(arg)] = calls[kind].get(order(arg), 0) + 1
+            key = order(arg)
+            if key is not None:
+                calls[kind][key] = calls[kind].get(key, 0) + 1
             return fn(arg, *rest)
 
         return wrapper
 
+    def partition_order(start):
+        return start.spec.order if isinstance(start, OrderedPartition) else None
+
     sweep_mod = cayleywl.sweep
     monkeypatch.setattr(
         sweep_mod, "refine_to_stable",
-        counted("module", sweep_mod.refine_to_stable, lambda p: p.spec.order),
+        counted("module", sweep_mod.refine_to_stable, partition_order),
     )
     monkeypatch.setattr(
         sweep_mod, "refine", counted("refine", sweep_mod.refine, lambda p: p.spec.order)
     )
     monkeypatch.setattr(
-        sweep_mod, "wl2_stabilize", counted("pair", sweep_mod.wl2_stabilize, lambda g: g.n)
+        sweep_mod, "initial_pair_coloring",
+        counted("pair", sweep_mod.initial_pair_coloring, lambda g: g.n),
+    )
+    monkeypatch.setattr(
+        sweep_mod, "wl2_step", counted("wl2_step", sweep_mod.wl2_step, lambda c: c.n)
     )
     return calls
 
@@ -178,6 +201,16 @@ def test_sweep_memo_pins_refine_calls(engine_calls):
     assert engine_calls["refine"][14] == 852
 
 
+def test_sweep_memo_pins_wl2_step_calls(engine_calls):
+    """Within one chunk of masks ``wl2_step`` runs once per distinct pair
+    partition: 5 080 calls for the cross-checked n = 2..12, where one
+    unmemoized stabilization per mask makes 9 862."""
+    run_sweep(SweepConfig(n_values=tuple(range(2, 13)), cross_check=True))
+    assert sum(engine_calls["wl2_step"].values()) == 5080
+    assert engine_calls["wl2_step"][11] == 1322
+    assert engine_calls["wl2_step"][12] == 2754
+
+
 @pytest.mark.parametrize("n", [12, 13])
 def test_memoized_modules_match_plain_stabilization(n):
     """The memoized batch gives every mask the rounds and stable partition
@@ -188,6 +221,22 @@ def test_memoized_modules_match_plain_stabilization(n):
         stabilize_refine(initial_cayley_smodule(spec, mask_to_con(mask, n))) for mask in masks
     ]
     assert _stable_modules(spec, masks) == [(t.rounds, t.final.classes) for t in plain]
+
+
+@pytest.mark.parametrize("n", [12, 13, 17, 18, 19, 20])
+def test_memoized_pair_modules_match_plain_stabilization(n):
+    """The memoized pair engine gives every mask the rounds and induced
+    partition of its own unmemoized 2-WL stabilization.  Orders 17..20 are
+    sampled with more than one chunk of masks each, past the memo's reset."""
+    spec = GroupSpec((n,))
+    if n <= 13:
+        masks = range(0, 1 << n, 2)
+    else:
+        masks = sorted(sample_connection_masks(n, _CHUNK + 26, n))
+    plain = [wl2_stabilize(build_cayley(spec, mask_to_con(mask, n))) for mask in masks]
+    assert _wl2_modules(spec, masks) == [
+        (t.rounds, induced_smodule(t.final, spec).classes) for t in plain
+    ]
 
 
 def _wl2_and_individualized_cr(g: CayleyGraph) -> tuple[tuple, tuple]:
@@ -254,15 +303,15 @@ def test_bound_violation_names_first_offending_record(monkeypatch, jobs):
 def test_engine_mismatch_names_first_offending_record(monkeypatch):
     """0x102 = {1, 8} is 4 * {2, 7} (0x84), so its module result is fanned
     out from 0x84; the pair engine is made to disagree on it alone."""
-    pair_engine = cayleywl.sweep.wl2_stabilize
+    pair_engine = cayleywl.sweep._wl2_modules
 
-    def skewed(g):
-        trace = pair_engine(g)
-        if g.n == 9 and g.out_neighbors[0] == (1, 8):
-            return replace(trace, rounds=trace.rounds + 1)
-        return trace
+    def skewed(spec, masks):
+        return [
+            (rounds + (spec.order == 9 and mask == 0x102), classes)
+            for mask, (rounds, classes) in zip(masks, pair_engine(spec, masks))
+        ]
 
-    monkeypatch.setattr(cayleywl.sweep, "wl2_stabilize", skewed)
+    monkeypatch.setattr(cayleywl.sweep, "_wl2_modules", skewed)
     with pytest.raises(EngineMismatch) as err:
         run_sweep(SweepConfig(n_values=tuple(range(2, 11)), cross_check=True))
     assert str(err.value) == "engine disagreement at n=9 set=0x102: rounds 3 (pair) vs 2 (module)"
