@@ -40,14 +40,18 @@ class GroupSpec:
         return math.prod(self.moduli)
 
     @cached_property
-    def _strides(self) -> tuple[int, ...]:
-        # stride of factor i = product of the orders of all less significant factors
-        strides = []
-        acc = 1
+    def _factors(self) -> tuple[tuple[int, int, int], ...]:
+        """``(stride, n, run)`` of every factor ``Z_n``, most significant first.
+
+        The stride is the product of the orders of all less significant
+        factors, and each aligned run of ``run = stride * n`` indices holds
+        every residue of the factor."""
+        factors = []
+        stride = 1
         for n in reversed(self.moduli):
-            strides.append(acc)
-            acc *= n
-        return tuple(reversed(strides))
+            factors.append((stride, n, stride * n))
+            stride *= n
+        return tuple(reversed(factors))
 
     @property
     def identity(self) -> int:
@@ -61,7 +65,7 @@ class GroupSpec:
         if not 0 <= index < self.order:
             raise ValueError(f"element index {index} out of range for order {self.order}")
         residues = []
-        for stride, n in zip(self._strides, self.moduli):
+        for stride, n, _ in self._factors:
             residues.append((index // stride) % n)
         return tuple(residues)
 
@@ -71,12 +75,10 @@ class GroupSpec:
             raise ValueError(
                 f"expected {len(self.moduli)} residues, got {len(residues)}"
             )
-        return sum((r % n) * s for r, n, s in zip(residues, self.moduli, self._strides))
+        return sum((r % n) * s for r, (s, n, _) in zip(residues, self._factors))
 
     def add(self, i: int, j: int) -> int:
         """Index of the sum of elements ``i`` and ``j``."""
-        if len(self.moduli) == 1:
-            return (i + j) % self.moduli[0]
         a, b = self.element(i), self.element(j)
         return self.index(tuple(x + y for x, y in zip(a, b)))
 
@@ -92,7 +94,7 @@ class GroupSpec:
 
     @cached_property
     def _ids(self) -> list[int]:
-        """Every element index once, so cyclic rows share their int objects."""
+        """Every element index once, so sum rows share their int objects."""
         return list(self.elements())
 
     @cached_property
@@ -101,11 +103,20 @@ class GroupSpec:
         return tuple(map(self.neg, self.elements()))
 
     def sum_row(self, a: int) -> list[int]:
-        """Indices of ``a + b`` for every element ``b``, in element order."""
-        if len(self.moduli) == 1:
-            ids = self._ids
-            return ids[a:] + ids[:a]
-        return [self.add(a, b) for b in range(self.order)]
+        """Indices of ``a + b`` for every element ``b``, in element order.
+
+        Adding residue ``r`` to the factor of stride ``s`` rotates each of
+        its runs by ``r * s``; a cyclic group is one run.  The row starts
+        from :attr:`_ids` and rotates each factor's runs in turn."""
+        row = self._ids
+        for s, n, run in self._factors:
+            cut = a // s % n * s
+            rotated: list[int] = []
+            for at in range(0, self.order, run):
+                rotated += row[at + cut : at + run]
+                rotated += row[at : at + cut]
+            row = rotated
+        return row
 
     @cached_property
     def addition_table(self) -> tuple[tuple[int, ...], ...]:
@@ -177,13 +188,14 @@ def multiplier_orbits(spec: GroupSpec, multipliers: Sequence[int], origin: int =
     multiplication (the units mod |G| or a subgroup of them; 1 may be left out)."""
     from .partition import OrderedPartition
 
+    plus, minus = spec.sum_row(origin), spec.sum_row(spec.neg(origin))
     labels = [-1] * spec.order
     for g in spec.elements():
         if labels[g] == -1:
-            offset = spec.add(g, spec.neg(origin))
+            offset = minus[g]
             labels[g] = g
             for m in multipliers:
-                labels[spec.add(origin, spec.scale(offset, m))] = g
+                labels[plus[spec.scale(offset, m)]] = g
     return OrderedPartition.from_labels(spec, labels)
 
 

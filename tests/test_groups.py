@@ -19,7 +19,7 @@ from cayleywl import (
     stabilizer_subgroup,
     unit_multipliers,
 )
-from cayleywl.groups import _MILLER_RABIN_BOUND, is_prime
+from cayleywl.groups import _MILLER_RABIN_BOUND, is_prime, multiplier_orbits
 from invariants import is_prime_oracle, power_classes_oracle
 
 
@@ -64,6 +64,42 @@ def test_arithmetic_reduces():
     assert spec.scale(4, -1) == 5
     spec = GroupSpec((4, 4))
     assert spec.add(spec.index((3, 3)), spec.index((1, 2))) == spec.index((0, 1))
+
+
+@pytest.mark.parametrize(
+    "moduli",
+    [(1,), (7,), (12,), (2, 2), (2, 3), (4, 4), (2, 2, 4), (3, 3, 3),
+     (2, 2, 2, 2), (5, 1, 3), (1, 4), (17, 17)],
+    ids=str,
+)
+def test_sum_row_matches_residue_tuple_addition(moduli):
+    """Every sum row equals residue-tuple addition (:meth:`GroupSpec.add`)
+    and holds ``_ids``' own int objects; Z17xZ17's indices reach past the
+    interned small ints."""
+    spec = GroupSpec(moduli)
+    for a in spec.elements():
+        row = spec.sum_row(a)
+        assert row == [spec.add(a, b) for b in spec.elements()], a
+        assert all(x is spec._ids[x] for x in row), a
+
+
+@pytest.mark.parametrize("moduli", [(4, 4), (2, 2, 4)], ids=str)
+@pytest.mark.parametrize("units", ["all", "7"])
+def test_multiplier_orbits_off_the_identity_match_residue_tuples(moduli, units):
+    """Orbits of ``g -> origin + m*(g - origin)`` for every origin, against
+    the maps applied to residue tuples."""
+    spec = GroupSpec(moduli)
+    multipliers = unit_multipliers(spec) if units == "all" else [7]
+    for origin in spec.elements():
+        o = spec.element(origin)
+        expected = set()
+        for g in spec.elements():
+            offset = [x - y for x, y in zip(spec.element(g), o)]
+            expected.add(frozenset(
+                [g] + [spec.index([y + m * x for x, y in zip(offset, o)]) for m in multipliers]
+            ))
+        part = multiplier_orbits(spec, multipliers, origin)
+        assert {frozenset(c) for c in part.classes} == expected, origin
 
 
 def test_element_power_examples():
