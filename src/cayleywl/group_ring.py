@@ -8,10 +8,11 @@ produce coefficients in ``[0, |G|]``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import add
 from typing import Iterable
 
 from .groups import GroupSpec, unit_multipliers
-from .partition import OrderedPartition, RefinementTrace, rank_signatures, refine_to_stable
+from .partition import OrderedPartition, RefinementTrace, refine_to_stable
 from .wl import (
     CayleyGraph,
     build_cayley,
@@ -97,19 +98,25 @@ def refine(partition: OrderedPartition) -> OrderedPartition:
 
     The coefficient of g in ``C_i * C_j`` counts the pairs (a, b) with
     a + b = g, a in class i and b in class j, so each g gathers the class
-    pair of every (a, b) summing to it.  A round gathers |G|^2 pairs from
-    the addition table, so groups above ``groups.ADDITION_TABLE_LIMIT`` are
-    rejected before any row is built.
+    pair of every (a, b) summing to it.  With a = -y and b = g + y these are
+    read off one cached getter per sum row (``GroupSpec.addition_table``):
+    it gathers the classes of g + y in y order, and ``scaled`` holds the
+    classes of -y, times the class count, to add the pairs in one int each.
+    A round gathers |G|^2 pairs, so groups above
+    ``groups.ADDITION_TABLE_LIMIT`` are rejected before any row is built.
+
+    Each g is labelled by its class and its sorted pairs, unranked:
+    :meth:`OrderedPartition.from_labels` numbers the classes by least
+    element, so ranks (:func:`partition.rank_signatures`) would be dropped.
     """
     spec = partition.spec
+    table = spec.addition_table
     labels = partition.membership
     r = partition.class_count
-    gathered: list[list[int]] = [[] for _ in range(spec.order)]
-    for row, la in zip(spec.addition_table, labels):
-        la *= r
-        for g, lb in zip(row, labels):
-            gathered[g].append(la + lb)
-    return OrderedPartition.from_labels(spec, rank_signatures(labels, gathered))
+    scaled = [r * labels[y] for y in spec.negatives]
+    return OrderedPartition.from_labels(
+        spec, [(o, *sorted(map(add, scaled, row(labels)))) for o, row in zip(labels, table)]
+    )
 
 
 def refine_con(partition: OrderedPartition, con: Iterable[int]) -> OrderedPartition:

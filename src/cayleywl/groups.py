@@ -11,6 +11,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property, partial
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 GroupElement = tuple[int, ...]
@@ -21,6 +22,18 @@ _SPEC_RE = re.compile(r"z(\d+)((?:xz\d+)*)", re.IGNORECASE)
 # a group-ring refinement round gathers one entry per table cell: 4096^2 =
 # 2^24, as many as a 2-WL round at its limit of 256 vertices (256^3)
 ADDITION_TABLE_LIMIT = 4096
+
+
+def gatherer(indices: Sequence[int]) -> itemgetter:
+    """Getter of the items at ``indices`` from a sequence, as a sequence.
+    ``itemgetter`` returns a bare item for one index and rejects none, so 0
+    and 1 indices (in-degrees 0 and 1, a pair layout on 0 or 1 vertices, or
+    the sum row of the order-1 group) take the slice
+    ``indices[0]:indices[0] + len(indices)`` instead."""
+    if len(indices) >= 2:
+        return itemgetter(*indices)
+    start = indices[0] if indices else 0
+    return itemgetter(slice(start, start + len(indices)))
 
 
 @dataclass(frozen=True)
@@ -103,31 +116,46 @@ class GroupSpec:
         return tuple(map(self.neg, self.elements()))
 
     def sum_row(self, a: int) -> list[int]:
-        """Indices of ``a + b`` for every element ``b``, in element order.
+        """Indices of ``a + b`` for every element ``b``, in element order, as
+        a fresh list.
 
         Adding residue ``r`` to the factor of stride ``s`` rotates each of
         its runs by ``r * s``; a cyclic group is one run.  The row starts
-        from :attr:`_ids` and rotates each factor's runs in turn."""
+        from :attr:`_ids` and rotates the runs of each factor that ``a``
+        moves: run by run when there are fewer runs than run positions,
+        otherwise one strided column per position, so a factor costs at most
+        ``sqrt(|G|)`` slices."""
         row = self._ids
+        order = self.order
         for s, n, run in self._factors:
             cut = a // s % n * s
-            rotated: list[int] = []
-            for at in range(0, self.order, run):
-                rotated += row[at + cut : at + run]
-                rotated += row[at : at + cut]
+            if not cut:
+                continue
+            if run * run <= order:
+                rotated = [0] * order
+                for t in range(run):
+                    rotated[t::run] = row[(t + cut) % run :: run]
+            else:
+                rotated = []
+                for at in range(0, order, run):
+                    rotated += row[at + cut : at + run]
+                    rotated += row[at : at + cut]
             row = rotated
-        return row
+        return row if a else row.copy()
 
     @cached_property
-    def addition_table(self) -> tuple[tuple[int, ...], ...]:
-        """Dense |G| x |G| table of :meth:`add`, for groups of order at most
-        :data:`ADDITION_TABLE_LIMIT`; larger groups raise before any row is built."""
+    def addition_table(self) -> tuple[itemgetter, ...]:
+        """The addition table as one getter per element ``a``: applied to a
+        sequence indexed by element, it returns the items at ``a + b`` for
+        every ``b`` in element order (see :func:`gatherer`).  Built for groups
+        of order at most :data:`ADDITION_TABLE_LIMIT`; larger groups raise
+        before any row is built."""
         if self.order > ADDITION_TABLE_LIMIT:
             raise ValueError(
                 f"addition table limited to groups of order at most "
                 f"{ADDITION_TABLE_LIMIT}, got {self.order}"
             )
-        return tuple(tuple(self.sum_row(a)) for a in range(self.order))
+        return tuple(gatherer(self.sum_row(a)) for a in range(self.order))
 
     def __str__(self) -> str:
         return "x".join(f"Z{n}" for n in self.moduli)

@@ -14,7 +14,7 @@ from itertools import accumulate, chain, count, repeat
 from operator import add, itemgetter
 from typing import Callable, Iterable, Optional, Sequence, TextIO, Union
 
-from .groups import GroupSpec, connection_set, parse_group_spec
+from .groups import GroupSpec, connection_set, gatherer, parse_group_spec
 from .partition import (
     OrderedPartition,
     RefinementTrace,
@@ -31,17 +31,6 @@ class GraphFormatError(ValueError):
     def __init__(self, message: str, position: int) -> None:
         super().__init__(f"{message} at position {position}")
         self.position = position
-
-
-def _gatherer(indices: Sequence[int]) -> itemgetter:
-    """Getter of the items at ``indices`` from a sequence, as a sequence.
-    ``itemgetter`` returns a bare item for one index and rejects none, so 0
-    and 1 indices (in-degrees 0 and 1, or a pair layout on 0 or 1 vertices)
-    take the slice ``indices[0]:indices[0] + len(indices)`` instead."""
-    if len(indices) >= 2:
-        return itemgetter(*indices)
-    start = indices[0] if indices else 0
-    return itemgetter(slice(start, start + len(indices)))
 
 
 @dataclass(frozen=True)
@@ -90,9 +79,9 @@ class DiGraph:
     @cached_property
     def _in_gatherers(self) -> tuple[itemgetter, ...]:
         """Per vertex, a getter of its in-neighbors' colors (see
-        :func:`_gatherer`), so a color-refinement round gathers each
+        :func:`gatherer`), so a color-refinement round gathers each
         vertex with one call."""
-        return tuple(map(_gatherer, self.in_neighbors))
+        return tuple(map(gatherer, self.in_neighbors))
 
     def in_colors(self, colors: Sequence[int]) -> Iterable[tuple[int, ...]]:
         """Per vertex, the colors of its in-neighbors, as a tuple in in-list
@@ -250,7 +239,7 @@ def _triangle(n: int) -> tuple[tuple[tuple[int, int], ...], itemgetter, itemgett
     slot = {pair: s for s, pair in enumerate(upper)}
     half = len(upper)
     layout = [slot[i, j] if i <= j else half + slot[j, i] for i in range(n) for j in range(n)]
-    return upper, _gatherer([i * n + j for i, j in upper]), _gatherer(layout)
+    return upper, gatherer([i * n + j for i, j in upper]), gatherer(layout)
 
 
 def wl2_step(c: PairColoring) -> PairColoring:

@@ -308,6 +308,22 @@ def refine_oracle(partition: OrderedPartition) -> OrderedPartition:
     return OrderedPartition.from_labels(spec, [canon[tuple(k)] for k in keys])
 
 
+def refine_table_oracle(partition: OrderedPartition) -> OrderedPartition:
+    """One module refinement round as a double loop over the sum rows: each
+    (a, b) appends the class pair of a and b, as one int, to a + b's list,
+    and :func:`rank_signatures` ranks the signatures.  The gather that
+    ``group_ring.refine`` reads off cached sum-row getters instead."""
+    spec = partition.spec
+    labels = partition.membership
+    r = partition.class_count
+    gathered: list[list[int]] = [[] for _ in range(spec.order)]
+    for a, la in enumerate(labels):
+        la *= r
+        for g, lb in zip(spec.sum_row(a), labels):
+            gathered[g].append(la + lb)
+    return OrderedPartition.from_labels(spec, rank_signatures(labels, gathered))
+
+
 def is_equitable(spec: GroupSpec, con: tuple[int, ...], partition: OrderedPartition) -> bool:
     """True when one in-neighbor counting round splits no class: every vertex
     of a class has the same number of in-neighbors in every class."""

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,8 +9,10 @@ from cayleywl import (
     exponentiation_closure,
     extract_by_coefficient,
     induced_partition,
+    initial_cayley_smodule,
     is_exponentiation_stable,
     multiply,
+    parse_cayley_graph,
     power_equivalence_classes,
     power_map,
     refine,
@@ -19,6 +23,7 @@ from cayleywl import (
     unit_multipliers,
 )
 from cayleywl.group_ring import GroupRingElement, scaled_partition
+from cayleywl.partition import refine_to_stable
 from invariants import (
     MIXED_SPECS,
     coarsen,
@@ -29,6 +34,7 @@ from invariants import (
     pushforward_oracle,
     random_partition,
     refine_oracle,
+    refine_table_oracle,
     scaled_partition_oracle,
 )
 
@@ -181,7 +187,9 @@ def test_refine_to_stable_discrete_start():
 
 
 @given(
-    st.sampled_from([(12,), (16,), (2, 2, 2, 2), (2, 4, 3), (3, 3)]),
+    st.sampled_from(
+        [(12,), (16,), (2, 2, 2, 2), (2, 4, 3), (3, 3), (2, 3, 4), (2, 2, 2, 2, 2)]
+    ),
     st.integers(1, 6),
     st.randoms(use_true_random=False),
 )
@@ -189,6 +197,27 @@ def test_refine_matches_class_pair_oracle(moduli, k, rnd):
     spec = GroupSpec(moduli)
     part = OrderedPartition.from_labels(spec, [rnd.randrange(k) for _ in range(spec.order)])
     assert refine(part).classes == refine_oracle(part).classes
+
+
+@pytest.mark.parametrize("moduli", [(1,), (2,), (3,), (2, 2)], ids=str)
+def test_refine_matches_class_pair_oracle_on_every_partition(moduli):
+    """Every partition of the groups of order 1 to 4.  The one sum row of
+    Z1 needs a getter that returns a sequence, not a bare item."""
+    spec = GroupSpec(moduli)
+    labelings = itertools.product(range(spec.order), repeat=spec.order)
+    for part in {OrderedPartition.from_labels(spec, labels) for labels in labelings}:
+        assert refine(part) == refine_oracle(part), part
+
+
+@pytest.mark.parametrize("graph", ["Z1024:1", "Z32xZ32:(0,1),(1,0)"])
+def test_refine_traces_match_the_table_loop(graph):
+    """Round for round, the sum-row getters give the partitions of the
+    double loop over the sum rows, from the structural start of a graph."""
+    g = parse_cayley_graph(graph)
+    start = initial_cayley_smodule(g.spec, g.con)
+    trace = stabilize_refine(start)
+    assert trace.rounds > 1
+    assert trace == refine_to_stable(start, refine_table_oracle)
 
 
 def test_sum_rows_above_table_limit():

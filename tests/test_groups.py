@@ -69,18 +69,21 @@ def test_arithmetic_reduces():
 @pytest.mark.parametrize(
     "moduli",
     [(1,), (7,), (12,), (2, 2), (2, 3), (4, 4), (2, 2, 4), (3, 3, 3),
-     (2, 2, 2, 2), (5, 1, 3), (1, 4), (17, 17)],
+     (2, 2, 2, 2), (5, 1, 3), (1, 4), (17, 17),
+     (2, 2, 2, 2, 2), (4, 4, 4), (2, 3, 4), (3, 9), (64,)],
     ids=str,
 )
 def test_sum_row_matches_residue_tuple_addition(moduli):
-    """Every sum row equals residue-tuple addition (:meth:`GroupSpec.add`)
-    and holds ``_ids``' own int objects; Z17xZ17's indices reach past the
-    interned small ints."""
+    """Every sum row equals residue-tuple addition (:meth:`GroupSpec.add`),
+    is a fresh list and holds ``_ids``' own int objects; Z17xZ17's indices
+    reach past the interned small ints.  Z2^5, Z4^3 and Z2xZ3xZ4 rotate
+    their small factors by strided columns and their large ones run by run."""
     spec = GroupSpec(moduli)
     for a in spec.elements():
         row = spec.sum_row(a)
         assert row == [spec.add(a, b) for b in spec.elements()], a
         assert all(x is spec._ids[x] for x in row), a
+        assert row is not spec._ids and row is not spec.sum_row(a), a
 
 
 @pytest.mark.parametrize("moduli", [(4, 4), (2, 2, 4)], ids=str)
