@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .groups import GroupSpec, is_prime
 from .partition import dense_rank, label_classes, rank_signatures
-from .wl import DiGraph, Graph, VertexColoring, as_digraph, build_cayley
+from .wl import CayleyGraph, DiGraph, Graph, VertexColoring, as_digraph
 
 
 def individualize(c: VertexColoring, *vertices: int) -> VertexColoring:
@@ -232,11 +232,13 @@ _Choices = tuple[tuple[int, int], ...]
 _Lasts = tuple[list[tuple[int, ...]], list[tuple[int, ...]]]
 
 
-def _refine_copy(dg: DiGraph, parent: Optional[_Stable] = None, v: Optional[int] = None) -> _CopyRun:
-    """Color refinement of dg from the uniform coloring or, given a stable
-    coloring ``parent = (colors, last)``, from ``colors`` with v
-    individualized: the final colors and the certificate, the sorted
-    distinct signatures of every round.
+def _refine_copy(
+    dg: Graph, parent: Optional[_Stable] = None, v: Optional[int] = None, *, alone: bool = False
+) -> _CopyRun:
+    """Color refinement of dg, a digraph or a Cayley descriptor, from the
+    uniform coloring or, given a stable coloring ``parent = (colors,
+    last)``, from ``colors`` with v individualized: the final colors and
+    the certificate, the sorted distinct signatures of every round.
 
     On a disjoint union whose copies start from its halves, with v
     individualized in one copy and a partner in the other, the union ranks
@@ -248,6 +250,12 @@ def _refine_copy(dg: DiGraph, parent: Optional[_Stable] = None, v: Optional[int]
     in a color-multiset mismatch.  A nonempty union whose copies share
     every color is never discrete, so it always confirms its fixed point,
     and so does the certificate, even on a discrete copy.
+
+    A graph refined ``alone``, not as a copy of a union, stops at a
+    discrete coloring without the confirming round, as
+    :func:`cayleywl.partition.refine_to_stable` does: no round refines
+    it, and it is a leaf.  Its certificate keeps the last entry only,
+    which is all a further individualization reads.
 
     ``colors`` is the final coloring of a copy run and ``last`` the last
     entry of that run's certificate.  v's color is held by another vertex
@@ -278,7 +286,7 @@ def _refine_copy(dg: DiGraph, parent: Optional[_Stable] = None, v: Optional[int]
     """
     certificate: list[list[tuple[int, ...]]] = []
     if parent is None:
-        degrees = tuple(map(len, dg.in_neighbors))
+        degrees = tuple(map(len, dg.in_colors((0,) * dg.n)))
         certificate.append([(0,) * (d + 1) for d in sorted(set(degrees))])
         refined, count = dense_rank(degrees), min(dg.n, 1)
     else:
@@ -314,8 +322,11 @@ def _refine_copy(dg: DiGraph, parent: Optional[_Stable] = None, v: Optional[int]
         relabeled[v] = len(first) - 1
         certificate.append(first)
         refined, count = tuple(relabeled), k + 1
-    while len(certificate[-1]) != count:
+    discrete = dg.n if alone else -1
+    while len(certificate[-1]) not in (count, discrete):
         count = len(certificate[-1])
+        if alone:
+            certificate.clear()
         refined = rank_signatures(refined, dg.in_colors(refined), certificate)
     return refined, certificate
 
@@ -421,7 +432,8 @@ def has_tinhofer_property(g: Graph, budget: int = 1_000_000) -> TinhoferReport:
 # canonical labeling for prime-order circulants
 # ---------------------------------------------------------------------------
 
-# code and refinement both grow as p^2: canon Z2039:1,2038 takes 7 s and 166 MB
+# the code has p^2 bits and a run of Z_p:1 p rounds of O(p) work:
+# canon Z2039:1,2038 takes 3.2 s and 54 MB on a 2-vCPU VM
 CANON_LIMIT = 2048
 
 
@@ -454,14 +466,17 @@ def canonical_form_prime_circulant(spec: GroupSpec, con: Iterable[int]) -> Canon
     vertex order sorts by final color id.  Any vertex of the class gives the
     same code, as the automorphisms act transitively on color classes.
     Edgeless and complete graphs never refine and take the identity order.
-    Orders above :data:`CANON_LIMIT` are rejected before the graph is built.
+    The graph is its descriptor: runs gather through its sum rows, each
+    refined alone (see :func:`_refine_copy`) from the one-class root, as
+    every in-degree is |con|.  Orders above :data:`CANON_LIMIT` are
+    rejected before any sum row is built.
     """
     if len(spec.moduli) != 1 or not is_prime(spec.order):
         raise ValueError(f"canonical labeling requires a prime-order cyclic group, got {spec}")
     p = spec.order
     if p > CANON_LIMIT:
         raise ValueError(f"canon limited to groups of order at most {CANON_LIMIT}, got {p}")
-    dg = build_cayley(spec, con)
+    g = CayleyGraph(spec, tuple(con))
 
     def labeled(order: tuple[int, ...]) -> CanonicalForm:
         position = [0] * p
@@ -469,17 +484,19 @@ def canonical_form_prime_circulant(spec: GroupSpec, con: Iterable[int]) -> Canon
             position[i] = j
         bits = ["0"] * (p * p)
         for row, i in enumerate(order):
-            for j in dg.out_neighbors[i]:
+            for j in g.out_neighbors[i]:
                 bits[row * p + position[j]] = "1"
         return CanonicalForm(order, "".join(bits))
 
-    if dg.edge_count in (0, p * (p - 1)):
+    degree = len(g.con)
+    if degree in (0, p - 1):
         return labeled(tuple(range(p)))
-    colors, certificate = _refine_copy(dg)
+    # every vertex has in-degree |con|: the root run confirms the one class
+    colors, last = (0,) * p, [(0,) * (degree + 1)]
     for depth in range(3):
         repeated = _eligible(colors, colors)
         if not repeated:
             return labeled(tuple(sorted(range(p), key=colors.__getitem__)))
         if depth == 2:
             raise AssertionError("prime circulant not discrete after two individualizations")
-        colors, certificate = _refine_copy(dg, (colors, certificate[-1]), colors.index(repeated[0]))
+        colors, (last,) = _refine_copy(g, (colors, last), colors.index(repeated[0]), alone=True)

@@ -137,6 +137,26 @@ class CayleyGraph:
     def n(self) -> int:
         return self.spec.order
 
+    @cached_property
+    def out_neighbors(self) -> Sequence[tuple[int, ...]]:
+        """Per vertex h, its heads ``s + h`` in connection-set order, read
+        off the sum rows of the connection elements."""
+        rows = [self.spec.sum_row(s) for s in self.con]
+        return list(zip(*rows)) if rows else [()] * self.n
+
+    @cached_property
+    def _in_gatherers(self) -> tuple[itemgetter, ...]:
+        """Per connection element s, a getter of the colors at ``x - s`` for
+        every vertex x: in(x) = {x - s}, so the sum row of -s gathers them."""
+        return tuple(gatherer(self.spec.sum_row(self.spec.neg(s))) for s in self.con)
+
+    def in_colors(self, colors: Sequence[int]) -> Iterable[tuple[int, ...]]:
+        """Per vertex, the colors of its in-neighbors, as :meth:`DiGraph.in_colors`
+        gathers them, one getter per connection element instead of per vertex."""
+        if not self.con:
+            return [()] * self.n
+        return zip(*map(itemgetter.__call__, self._in_gatherers, repeat(colors)))
+
     def digraph(self) -> DiGraph:
         return build_cayley(self.spec, self.con)
 
@@ -425,13 +445,9 @@ def cr_refine(g: Graph, c: VertexColoring) -> RefinementTrace:
     n = g.n
     if c.n != n:
         raise ValueError("coloring does not match graph size")
-    if isinstance(g, CayleyGraph):
-        rows = (g.spec.sum_row(s) for s in g.con)
-        outs: Sequence[Sequence[int]] = list(zip(*rows)) if g.con else [()] * n
-        # every in-degree is |con|, which splits nothing
-        ins: Sequence[Sequence[int]] = ()
-    else:
-        outs, ins = g.out_neighbors, g.in_neighbors
+    outs: Sequence[Sequence[int]] = g.out_neighbors
+    # every in-degree of a descriptor is |con|, which splits nothing
+    ins: Sequence[Sequence[int]] = () if isinstance(g, CayleyGraph) else g.in_neighbors
 
     members: list[list[int]] = [[] for _ in range(c.class_count)]
     for v, color in enumerate(c.colors):

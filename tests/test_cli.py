@@ -10,7 +10,6 @@ import pytest
 
 import cayleywl.cli
 import cayleywl.sweep
-import cayleywl.tinhofer
 import cayleywl.wl
 from cayleywl.cli import build_parser, main
 from cayleywl.groups import GroupSpec
@@ -649,16 +648,16 @@ def test_undecodable_byte_is_reported_at_its_line(tmp_path, capsys, command):
 
 
 def test_canon_rejects_orders_above_its_size_limit(capsys, monkeypatch):
-    """Z2053, the least prime above the limit, exits 1 before the graph is
-    built; Z2039, the greatest prime below it, gets past the guard (stopped
-    here at building the graph)."""
+    """Z2053, the least prime above the limit, exits 1 before any sum row
+    is built; Z2039, the greatest prime below it, gets past the guard
+    (stopped here at its first sum row)."""
     built = []
 
-    def stopped(spec, con):
+    def stopped(spec, a):
         built.append(spec.order)
-        raise ValueError("stopped at build_cayley")
+        raise ValueError("stopped at sum_row")
 
-    monkeypatch.setattr(cayleywl.tinhofer, "build_cayley", stopped)
+    monkeypatch.setattr(GroupSpec, "sum_row", stopped)
     assert CANON_LIMIT == 2048
     assert run(capsys, "canon", "Z2053:1,2052") == (
         1, "", "cayleywl: canon limited to groups of order at most 2048, got 2053\n"
@@ -666,7 +665,7 @@ def test_canon_rejects_orders_above_its_size_limit(capsys, monkeypatch):
     assert built == []
     code, _, err = run(capsys, "canon", "Z2039:1,2038")
     assert (code, built) == (1, [2039])
-    assert "stopped at build_cayley" in err
+    assert "stopped at sum_row" in err
 
 
 def test_counterexample_exits_two_with_diff(capsys):

@@ -829,20 +829,41 @@ def _assert_run_matches_oracle(dg, parent=None, v=None, refine_copy=tinhofer._re
     return got
 
 
-def _walk_copy_runs(dg, rng, depth):
+def _assert_run_alone_matches(g, run, parent=None, v=None):
+    """The run alone from the same start ends with the run's colors and
+    keeps one certificate entry: the run's last, or its second to last when
+    the colors are discrete and the run confirmed them in one more round."""
+    colors, certificate = run
+    discrete = len(set(colors)) == g.n and len(certificate) > 1
+    want = (colors, [certificate[-2 if discrete else -1]])
+    assert tinhofer._refine_copy(g, parent, v, alone=True) == want, (parent and parent[0], v)
+
+
+def _assert_runs_match(dg, parent=None, v=None, descriptor=None):
+    """The run on dg against the oracle, and against it the runs on the
+    descriptor dg was built from, when given; each run alone as well."""
+    run = _assert_run_matches_oracle(dg, parent, v)
+    _assert_run_alone_matches(dg, run, parent, v)
+    if descriptor is not None:
+        assert tinhofer._refine_copy(descriptor, parent, v) == run, (parent and parent[0], v)
+        _assert_run_alone_matches(descriptor, run, parent, v)
+    return run
+
+
+def _walk_copy_runs(dg, rng, depth, descriptor=None):
     """The root run, every child of its stable coloring, then one seeded
     path of up to depth individualizations, each run checked against the
-    oracle; the depth reached."""
-    colors, certificate = _assert_run_matches_oracle(dg)
+    oracle (see :func:`_assert_runs_match`); the depth reached."""
+    colors, certificate = _assert_runs_match(dg, descriptor=descriptor)
     for v in range(dg.n):
         if colors.count(colors[v]) > 1:
-            _assert_run_matches_oracle(dg, (colors, certificate[-1]), v)
+            _assert_runs_match(dg, (colors, certificate[-1]), v, descriptor)
     for reached in range(depth):
         shared = [v for v in range(dg.n) if colors.count(colors[v]) > 1]
         if not shared:
             return reached
         v = rng.choice(shared)
-        colors, certificate = _assert_run_matches_oracle(dg, (colors, certificate[-1]), v)
+        colors, certificate = _assert_runs_match(dg, (colors, certificate[-1]), v, descriptor)
     return depth
 
 
@@ -861,17 +882,49 @@ def test_copy_runs_match_full_gather_on_digraphs():
     assert in_degrees == {0, 1, 2} and depths == {0, 1, 2, 3, 4}
 
 
+# groups of the copy-run walks on descriptors: orders 1 and 2, an
+# elementary abelian group per size, a prime circulant and a mixed product
+_WALK_GROUPS = ((1,), (2,), (2, 2), (13,), (2,) * 5, (2, 8), (4, 4), (3, 3, 3))
+
+
+def _walk_sets(spec, rng):
+    """The empty set, every one-element set, then twenty seeded connection
+    sets, directed or closed under negation, when the group has two or
+    more non-identity elements."""
+    yield from ((), *((s,) for s in range(1, spec.order)))
+    for i in range(20 if spec.order > 2 else 0):
+        con = set(rng.sample(range(1, spec.order), rng.randint(1, spec.order - 1)))
+        if i % 2:
+            con |= {spec.neg(s) for s in con}
+        yield tuple(con)
+
+
 def test_copy_runs_match_full_gather_on_cayley_graphs():
-    """Twenty seeded connection sets, directed or closed under negation,
-    per group: Z2xZ8, Z4xZ4 and Z3^3, each walked four deep."""
+    """The sets of :func:`_walk_sets` per group of :data:`_WALK_GROUPS`,
+    each walked four deep on its digraph and its descriptor alike."""
     rng = random.Random(27)
-    for moduli in ((2, 8), (4, 4), (3, 3, 3)):
+    for moduli in _WALK_GROUPS:
         spec = GroupSpec(moduli)
-        for i in range(20):
-            con = set(rng.sample(range(1, spec.order), rng.randint(1, spec.order - 1)))
-            if i % 2:
-                con |= {spec.neg(s) for s in con}
-            _walk_copy_runs(build_cayley(spec, con), rng, 4)
+        for con in _walk_sets(spec, rng):
+            _walk_copy_runs(build_cayley(spec, con), rng, 4, CayleyGraph(spec, con))
+
+
+def test_descriptor_lists_match_its_digraph():
+    """Vertex by vertex, a descriptor's out-lists and in-neighbor colors
+    hold what its digraph's do, as multisets, under distinct colors; its
+    caches keep it equal to a fresh descriptor."""
+    rng = random.Random(32)
+    for moduli in _WALK_GROUPS:
+        spec = GroupSpec(moduli)
+        for con in _walk_sets(spec, rng):
+            g, dg = CayleyGraph(spec, con), build_cayley(spec, con)
+            colors = rng.sample(range(3 * spec.order), spec.order)
+            ins = list(g.in_colors(colors))
+            assert len(g.out_neighbors) == len(ins) == dg.n
+            for v, (heads, gathered) in enumerate(zip(g.out_neighbors, ins)):
+                assert sorted(heads) == list(dg.out_neighbors[v])
+                assert sorted(gathered) == sorted(colors[u] for u in dg.in_neighbors[v])
+            assert g == CayleyGraph(spec, con) and hash(g) == hash(CayleyGraph(spec, con))
 
 
 def test_copy_runs_match_full_gather_on_the_pinned_trees(monkeypatch):
@@ -920,6 +973,33 @@ def test_first_round_of_a_child_run_inserts_hit_signatures():
     colors, certificate = _assert_run_matches_oracle(cycle, (colors, certificate[-1]), 1)
     assert certificate == [[(0, 1, 3), (1, 0, 2), (2, 1, 3), (3, 0, 2)]]
     assert colors == (2, 3, 0, 1)
+
+
+def test_canon_starts_from_the_root_run_and_refines_alone(monkeypatch):
+    """On every connection set of Z_p, p in {2, 3, 5, 7, 11, 13}, canon's
+    first individualization starts from the stable coloring and last
+    certificate entry of the root run on the built digraph, and every run
+    of canon is a run alone.  Edgeless and complete sets make no run."""
+    starts = []
+    refine_copy = tinhofer._refine_copy
+
+    def recorded(g, parent=None, v=None, *, alone=False):
+        starts.append((parent, alone))
+        return refine_copy(g, parent, v, alone=alone)
+
+    monkeypatch.setattr(tinhofer, "_refine_copy", recorded)
+    for p in (2, 3, 5, 7, 11, 13):
+        spec = GroupSpec((p,))
+        for mask in range(1 << (p - 1)):
+            con = tuple(s for s in range(1, p) if mask >> (s - 1) & 1)
+            starts.clear()
+            canonical_form_prime_circulant(spec, con)
+            if len(con) in (0, p - 1):
+                assert starts == []
+                continue
+            root, certificate = refine_copy(build_cayley(spec, con))
+            assert starts[0] == ((root, certificate[-1]), True)
+            assert 1 <= len(starts) <= 2 and all(alone for _, alone in starts)
 
 
 # ---------------------------------------------------------------------------
