@@ -15,7 +15,6 @@ from .groups import GroupSpec, unit_multipliers
 from .partition import OrderedPartition, RefinementTrace, refine_to_stable
 from .wl import (
     CayleyGraph,
-    build_cayley,
     coloring_from_partition,
     cr_refine,
     cr_step,
@@ -126,7 +125,7 @@ def refine_con(partition: OrderedPartition, con: Iterable[int]) -> OrderedPartit
     indicator times each class indicator.
     """
     spec = partition.spec
-    stepped = cr_step(build_cayley(spec, con), coloring_from_partition(partition))
+    stepped = cr_step(CayleyGraph(spec, tuple(con)), coloring_from_partition(partition))
     return partition_from_coloring(stepped, spec)
 
 

@@ -23,7 +23,6 @@ from .wl import (
     CayleyGraph,
     PairColoring,
     VertexColoring,
-    build_cayley,
     check_wl2_order,
     cr_step,
     induced_smodule,
@@ -225,7 +224,7 @@ def _wl2_modules(spec: GroupSpec, masks: Sequence[int]) -> list[tuple[int, _Clas
     for i, mask in enumerate(masks):
         if i % _CHUNK == 0:
             memo.clear()
-        g = build_cayley(spec, mask_to_con(mask, n))
+        g = CayleyGraph(spec, mask_to_con(mask, n))
         trace = refine_to_stable(relabelled(initial_pair_coloring(g)), step)
         out.append((trace.rounds, induced_smodule(trace.final, spec).classes))
     return out
@@ -392,14 +391,13 @@ def compute_counterexample_rounds() -> tuple[str, ...]:
     individualized start)."""
     cg = counterexample_graph()
     spec = cg.spec
-    dg = cg.digraph()
     rounds: list[str] = []
 
     def step(coloring: VertexColoring) -> VertexColoring:
         # called on the start, on every refined round, and on the fixed point
         # (which is not discrete: automorphisms fixing 0 keep classes whole)
         rounds.append(partition_from_coloring(coloring, spec).to_text())
-        return cr_step(dg, coloring)
+        return cr_step(cg, coloring)
 
     refine_to_stable(individualize(uniform_coloring(spec.order), spec.identity), step)
     return tuple(rounds)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
-from itertools import accumulate, chain, count, repeat
+from itertools import accumulate, chain, repeat
 from operator import add, itemgetter
 from typing import Callable, Iterable, Optional, Sequence, TextIO, Union
 
@@ -212,17 +212,15 @@ def _pair_category(fwd: bool, bwd: bool) -> int:
 def initial_pair_coloring(g: Graph) -> PairColoring:
     """Structural coloring of all pairs: diagonal, non-edge, forward-only,
     backward-only, bidirectional; only realized categories receive ids.
-    Row i is read off the out- and in-list of i, summing the categories of
-    :func:`_pair_category`: every pair starts as a non-edge, 1, an arc
-    i -> v adds 1 and an arc v -> i adds 2."""
-    dg = as_digraph(g)
-    n = dg.n
+    The pairs are read off the out-lists alone, summing the categories of
+    :func:`_pair_category`: every pair starts as a non-edge, 1, and an arc
+    u -> v adds 1 at (u, v) and 2 at (v, u)."""
+    n = g.n
     raw = [1] * (n * n)
-    for base, outs, ins in zip(count(0, n), dg.out_neighbors, dg.in_neighbors):
+    for u, outs in enumerate(g.out_neighbors):
         for v in outs:
-            raw[base + v] += 1
-        for v in ins:
-            raw[base + v] += 2
+            raw[u * n + v] += 1
+            raw[v * n + u] += 2
     raw[:: n + 1] = repeat(0, n)
     return PairColoring(n, dense_rank(raw))
 
@@ -408,16 +406,15 @@ def partition_from_coloring(c: VertexColoring, spec: GroupSpec) -> OrderedPartit
 def cr_step(g: Graph, c: VertexColoring) -> VertexColoring:
     """One color-refinement round: each vertex is recolored by its old color
     plus the multiset of in-neighbor colors."""
-    dg = as_digraph(g)
-    if dg.n != c.n:
+    if g.n != c.n:
         raise ValueError("coloring does not match graph size")
-    return VertexColoring(c.n, rank_signatures(c.colors, dg.in_colors(c.colors)))
+    return VertexColoring(c.n, rank_signatures(c.colors, g.in_colors(c.colors)))
 
 
 def cr_stabilize(g: Graph, c: VertexColoring) -> RefinementTrace:
     """Iterate color refinement to the stable coloring; a Cayley graph
-    descriptor is materialized as a digraph once."""
-    return refine_to_stable(c, partial(cr_step, as_digraph(g)))
+    descriptor gathers each round through its sum rows."""
+    return refine_to_stable(c, partial(cr_step, g))
 
 
 def cr_refine(g: Graph, c: VertexColoring) -> RefinementTrace:

@@ -1055,11 +1055,26 @@ def test_leaf_bijections_are_isomorphisms_on_digraphs(case, data):
 
 @pytest.mark.parametrize(
     "moduli, con",
-    [((2, 8), (8, 10, 14)), ((2, 8), (2, 3, 4, 5, 6, 10, 11, 12, 13, 14)), ((3, 3, 3), (9, 18, 3, 6, 1, 2))],
-    ids=["Z2xZ8:8,10,14", "Z2xZ8:2-6,10-14", "Z3^3"],
+    [
+        ((2, 8), (8, 10, 14)),
+        ((2, 8), (2, 3, 4, 5, 6, 10, 11, 12, 13, 14)),
+        ((3, 3, 3), (9, 18, 3, 6, 1, 2)),
+        ((2, 8), (1, 2, 9)),
+        ((3, 3), (1, 3, 4)),
+    ],
+    ids=["Z2xZ8:8,10,14", "Z2xZ8:2-6,10-14", "Z3^3", "Z2xZ8:1,2,9", "Z3xZ3:1,3,4"],
 )
 def test_search_leaves_are_automorphisms_on_cayley_graphs(moduli, con):
-    _assert_search_leaves_are_automorphisms(build_cayley(GroupSpec(moduli), con), budget=10_000)
+    """The search and the iso test read the same from the descriptor as
+    from its digraph, also on the directed sets, where in(x) != out(x)."""
+    spec = GroupSpec(moduli)
+    g = CayleyGraph(spec, con)
+    dg = g.digraph()
+    report = _assert_search_leaves_are_automorphisms(dg, budget=10_000)
+    assert has_tinhofer_property(g, budget=10_000) == report
+    mirror = CayleyGraph(spec, tuple(map(spec.neg, con)))
+    for h in (g, mirror):
+        assert tinhofer_iso_test(g, h) == tinhofer_iso_test(dg, h.digraph())
 
 
 @given(individualized_cayley_graphs(groups=((2, 8), (3, 3, 3))), st.data())

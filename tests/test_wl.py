@@ -28,6 +28,7 @@ from cayleywl import (
     parse_cayley_graph,
     parse_group_spec,
     refine,
+    refine_con,
     refine_to_stable,
     stabilize_refine_con,
     uniform_coloring,
@@ -498,12 +499,15 @@ def test_wl2_step_ids_equal_all_pairs_round_on_digraphs(case):
 @pytest.mark.parametrize("group", ["Z2xZ8", "Z2xZ2xZ4", "Z3xZ3", "Z4xZ4"])
 def test_wl2_step_ids_equal_all_pairs_round_on_cayley_digraphs(group):
     """Seeded connection sets, mostly not closed under negation, so many
-    pairs and their transposes differ in color."""
+    pairs and their transposes differ in color.  The descriptor, read
+    through its out-lists alone, gives its digraph's structural coloring."""
     spec = parse_group_spec(group)
     rng = random.Random(group)
     for _ in range(12):
         con = tuple(s for s in range(1, spec.order) if rng.random() < 0.4)
-        _assert_wl2_ids_match_all_pairs(build_cayley(spec, con))
+        dg = build_cayley(spec, con)
+        _assert_wl2_ids_match_all_pairs(dg)
+        assert initial_pair_coloring(CayleyGraph(spec, con)) == initial_pair_coloring(dg)
 
 
 def test_wl2_step_rejects_coloring_not_closed_under_transposition():
@@ -606,16 +610,21 @@ def test_cr_refine_matches_cr_stabilize_on_digraphs(case):
 @pytest.mark.parametrize("group", ["Z4xZ4", "Z2xZ8", "Z2xZ2xZ4", "Z3xZ9"])
 def test_cr_refine_matches_cr_stabilize_on_cayley_graphs(group):
     """Seeded connection sets with 0, 1 or 2 individualized vertices, read
-    from the descriptor and from its digraph."""
+    from the descriptor and from its digraph: ``cr_stabilize`` traces and
+    ``refine_con`` rounds agree between the two."""
     spec = parse_group_spec(group)
     rng = random.Random(group)
     for _ in range(60):
         cg = CayleyGraph(spec, tuple(s for s in range(1, spec.order) if rng.random() < 0.3))
+        dg = cg.digraph()
         c = uniform_coloring(spec.order)
         for v in rng.sample(range(spec.order), rng.randint(0, 2)):
             c = individualize(c, v)
         _assert_cr_refine_matches_stabilize(cg, c)
-        _assert_cr_refine_matches_stabilize(cg.digraph(), c)
+        _assert_cr_refine_matches_stabilize(dg, c)
+        assert cr_stabilize(cg, c) == cr_stabilize(dg, c)
+        stepped = partition_from_coloring(cr_step(dg, c), spec)
+        assert refine_con(partition_from_coloring(c, spec), cg.con) == stepped
 
 
 def test_stabilize_refine_con_matches_cr_stabilize():
