@@ -144,18 +144,41 @@ class GroupSpec:
         return row if a else row.copy()
 
     @cached_property
+    def _sum_getters(self) -> dict[int, itemgetter]:
+        """The getters :meth:`sum_getter` has kept, by element."""
+        return {}
+
+    def sum_getter(self, a: int) -> itemgetter:
+        """Getter of the items at ``a + b`` for every element ``b``, in
+        element order, from a sequence indexed by element:
+        ``gatherer(self.sum_row(a))`` (see :func:`gatherer`).
+
+        Groups of order at most :data:`ADDITION_TABLE_LIMIT` build each
+        getter once and keep it, so every connection set, difference row
+        and table over this spec shares it; larger groups build one on
+        every call and keep none, so a spec never holds more rows than its
+        addition table would."""
+        if self.order > ADDITION_TABLE_LIMIT:
+            return gatherer(self.sum_row(a))
+        kept = self._sum_getters
+        getter = kept.get(a)
+        if getter is None:
+            getter = kept[a] = gatherer(self.sum_row(a))
+        return getter
+
+    @cached_property
     def addition_table(self) -> tuple[itemgetter, ...]:
-        """The addition table as one getter per element ``a``: applied to a
-        sequence indexed by element, it returns the items at ``a + b`` for
-        every ``b`` in element order (see :func:`gatherer`).  Built for groups
-        of order at most :data:`ADDITION_TABLE_LIMIT`; larger groups raise
-        before any row is built."""
+        """The addition table as the getter :meth:`sum_getter` keeps for
+        every element ``a``, in element order: applied to a sequence indexed
+        by element, row a returns the items at ``a + b`` for every ``b``.
+        Built for groups of order at most :data:`ADDITION_TABLE_LIMIT`;
+        larger groups raise before any row is built."""
         if self.order > ADDITION_TABLE_LIMIT:
             raise ValueError(
                 f"addition table limited to groups of order at most "
                 f"{ADDITION_TABLE_LIMIT}, got {self.order}"
             )
-        return tuple(gatherer(self.sum_row(a)) for a in range(self.order))
+        return tuple(map(self.sum_getter, range(self.order)))
 
     def __str__(self) -> str:
         return "x".join(f"Z{n}" for n in self.moduli)

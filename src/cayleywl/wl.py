@@ -125,7 +125,14 @@ class DiGraph:
 
 @dataclass(frozen=True)
 class CayleyGraph:
-    """Cayley graph descriptor: edges ``h -> s + h`` for connection elements s."""
+    """Cayley graph descriptor: edges ``h -> s + h`` for connection elements s.
+
+    Its lists are read off the sum rows of its spec.  Its in-gatherers come
+    from :meth:`GroupSpec.sum_getter`, which keeps them on the spec up to the
+    addition table's limit, so descriptors over one spec share them.  Its
+    out-lists read a row through the getter the spec keeps, if any, and
+    build it otherwise, adding none to the spec: a descriptor keeps no more
+    rows than its in-gatherers hold."""
 
     spec: GroupSpec
     con: tuple[int, ...]
@@ -140,15 +147,19 @@ class CayleyGraph:
     @cached_property
     def out_neighbors(self) -> Sequence[tuple[int, ...]]:
         """Per vertex h, its heads ``s + h`` in connection-set order, read
-        off the sum rows of the connection elements."""
-        rows = [self.spec.sum_row(s) for s in self.con]
+        off the sum rows of the connection elements: through the getter the
+        spec keeps for s, if any, else from a fresh sum row."""
+        spec = self.spec
+        ids, kept = spec._ids, spec._sum_getters
+        rows = [kept[s](ids) if s in kept else spec.sum_row(s) for s in self.con]
         return list(zip(*rows)) if rows else [()] * self.n
 
     @cached_property
     def _in_gatherers(self) -> tuple[itemgetter, ...]:
         """Per connection element s, a getter of the colors at ``x - s`` for
-        every vertex x: in(x) = {x - s}, so the sum row of -s gathers them."""
-        return tuple(gatherer(self.spec.sum_row(self.spec.neg(s))) for s in self.con)
+        every vertex x: in(x) = {x - s}, so the spec's getter of -s gathers them."""
+        spec = self.spec
+        return tuple(spec.sum_getter(spec.neg(s)) for s in self.con)
 
     def in_colors(self, colors: Sequence[int]) -> Iterable[tuple[int, ...]]:
         """Per vertex, the colors of its in-neighbors, as :meth:`DiGraph.in_colors`
@@ -309,23 +320,18 @@ def wl2_stabilize(g: Graph) -> RefinementTrace:
     return refine_to_stable(initial_pair_coloring(g), wl2_step)
 
 
-def _difference_rows(spec: GroupSpec):
-    """Row g lists ``h - g`` for every element h: row 0 read through it is
-    row g of a translation-invariant pair coloring."""
-    return (spec.sum_row(spec.neg(g)) for g in spec.elements())
-
-
 def is_cayley_partition(c: PairColoring, spec: GroupSpec) -> bool:
-    """Check translation invariance (every row is row 0 read through its
-    difference row), then the diagonal forming a class and closure of the
-    class set under transposition, which reduce to conditions on row 0."""
+    """Check translation invariance (every row g is row 0 read at ``h - g``
+    for every element h, through the spec's getter of -g), then the diagonal
+    forming a class and closure of the class set under transposition, which
+    reduce to conditions on row 0."""
     n = spec.order
     if c.n != n:
         raise ValueError(f"pair coloring on {c.n} vertices does not fit {spec}")
     cols = c.colors
     row0 = cols[:n]
-    for g, diffs in enumerate(_difference_rows(spec)):
-        if cols[g * n : (g + 1) * n] != tuple(map(row0.__getitem__, diffs)):
+    for g, minus in enumerate(spec.negatives):
+        if cols[g * n : (g + 1) * n] != spec.sum_getter(minus)(row0):
             return False
     # closed under transposition: the d of one color have -d of one color
     transposed = {(color, row0[spec.neg(d)]) for d, color in enumerate(row0)}
@@ -342,10 +348,11 @@ def induced_smodule(c: PairColoring, spec: GroupSpec) -> OrderedPartition:
 
 def pair_coloring_from_smodule(partition: OrderedPartition) -> PairColoring:
     """Rebuild the pair coloring whose identity row realizes the partition:
-    the color of (g1, g2) is the class of g2 - g1."""
-    member = partition.membership
-    cols = [member[d] for diffs in _difference_rows(partition.spec) for d in diffs]
-    return PairColoring(partition.spec.order, tuple(cols))
+    the color of (g1, g2) is the class of g2 - g1, row g1 read through the
+    spec's getter of -g1."""
+    spec, member = partition.spec, partition.membership
+    rows = (spec.sum_getter(minus)(member) for minus in spec.negatives)
+    return PairColoring(spec.order, tuple(chain.from_iterable(rows)))
 
 
 def initial_cayley_smodule(spec: GroupSpec, con: Iterable[int]) -> OrderedPartition:

@@ -287,6 +287,30 @@ def is_cayley_partition_oracle(c: PairColoring, spec: GroupSpec) -> bool:
     return True
 
 
+def difference_rows(spec: GroupSpec) -> list[list[int]]:
+    """Row g lists ``h - g`` for every element h, the sum row of -g: row 0
+    read through it is row g of a translation-invariant pair coloring."""
+    return [spec.sum_row(spec.neg(g)) for g in spec.elements()]
+
+
+def is_translation_invariant_oracle(c: PairColoring, spec: GroupSpec) -> bool:
+    """Every row of the pair coloring is row 0 read through its difference row."""
+    n = spec.order
+    row0 = c.colors[:n]
+    return all(
+        c.colors[g * n : (g + 1) * n] == tuple(map(row0.__getitem__, diffs))
+        for g, diffs in enumerate(difference_rows(spec))
+    )
+
+
+def pair_coloring_from_smodule_oracle(partition: OrderedPartition) -> PairColoring:
+    """The pair coloring with ``(g1, g2)`` colored by the class of ``g2 - g1``,
+    read through the difference rows."""
+    member = partition.membership
+    cols = [member[d] for diffs in difference_rows(partition.spec) for d in diffs]
+    return PairColoring(partition.spec.order, tuple(cols))
+
+
 def first_occurrence(colors) -> tuple[int, ...]:
     """Colors renumbered by first occurrence: equal exactly when the two
     colorings induce the same partition of the positions."""

@@ -1,4 +1,5 @@
 import math
+import random
 import time
 
 import pytest
@@ -84,6 +85,30 @@ def test_sum_row_matches_residue_tuple_addition(moduli):
         assert row == [spec.add(a, b) for b in spec.elements()], a
         assert all(x is spec._ids[x] for x in row), a
         assert row is not spec._ids and row is not spec.sum_row(a), a
+
+
+@pytest.mark.parametrize(
+    "moduli", [(1,), (2,), (13,), (2, 8), (4, 4), (3, 3, 3), (2,) * 5], ids=str
+)
+def test_sum_getters_are_kept_and_read_the_sum_rows(moduli):
+    """Each element's getter reads a sequence at its sum row, is built once
+    and kept, and is the addition table's row."""
+    spec = GroupSpec(moduli)
+    rng = random.Random(34)
+    items = [rng.random() for _ in spec.elements()]
+    for a in spec.elements():
+        getter = spec.sum_getter(a)
+        assert tuple(getter(items)) == tuple(items[b] for b in spec.sum_row(a)), a
+        assert spec.sum_getter(a) is getter, a
+    assert all(row is spec.sum_getter(a) for a, row in enumerate(spec.addition_table))
+
+
+def test_sum_getters_above_the_table_limit_are_not_kept():
+    spec = GroupSpec((4099,))
+    getter = spec.sum_getter(5)
+    assert getter(spec._ids) == tuple(spec.sum_row(5))
+    assert spec.sum_getter(5) is not getter
+    assert not spec._sum_getters
 
 
 @pytest.mark.parametrize("moduli", [(4, 4), (2, 2, 4)], ids=str)

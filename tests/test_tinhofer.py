@@ -909,22 +909,34 @@ def test_copy_runs_match_full_gather_on_cayley_graphs():
             _walk_copy_runs(build_cayley(spec, con), rng, 4, CayleyGraph(spec, con))
 
 
+def _assert_descriptor_lists_match(spec, con, rng):
+    g, dg = CayleyGraph(spec, con), build_cayley(spec, con)
+    colors = rng.sample(range(3 * spec.order), spec.order)
+    ins = list(g.in_colors(colors))
+    assert len(g.out_neighbors) == len(ins) == dg.n
+    for v, (heads, gathered) in enumerate(zip(g.out_neighbors, ins)):
+        assert sorted(heads) == list(dg.out_neighbors[v])
+        assert sorted(gathered) == sorted(colors[u] for u in dg.in_neighbors[v])
+    assert g == CayleyGraph(spec, con) and hash(g) == hash(CayleyGraph(spec, con))
+
+
 def test_descriptor_lists_match_its_digraph():
     """Vertex by vertex, a descriptor's out-lists and in-neighbor colors
     hold what its digraph's do, as multisets, under distinct colors; its
-    caches keep it equal to a fresh descriptor."""
+    caches keep it equal to a fresh descriptor.  A group's sets share one
+    spec, checked as its kept sum-row getters fill and again once it keeps
+    every row; Z2xZ8:1,2,9 and Z3xZ3:1,3,4 are directed, in(x) != out(x)."""
     rng = random.Random(32)
-    for moduli in _WALK_GROUPS:
+    directed = {(2, 8): [(1, 2, 9)], (3, 3): [(1, 3, 4)]}
+    for moduli in (*_WALK_GROUPS, (3, 3)):
         spec = GroupSpec(moduli)
-        for con in _walk_sets(spec, rng):
-            g, dg = CayleyGraph(spec, con), build_cayley(spec, con)
-            colors = rng.sample(range(3 * spec.order), spec.order)
-            ins = list(g.in_colors(colors))
-            assert len(g.out_neighbors) == len(ins) == dg.n
-            for v, (heads, gathered) in enumerate(zip(g.out_neighbors, ins)):
-                assert sorted(heads) == list(dg.out_neighbors[v])
-                assert sorted(gathered) == sorted(colors[u] for u in dg.in_neighbors[v])
-            assert g == CayleyGraph(spec, con) and hash(g) == hash(CayleyGraph(spec, con))
+        sets = [*_walk_sets(spec, rng), *directed.get(moduli, [])]
+        for con in sets:
+            _assert_descriptor_lists_match(spec, con, rng)
+        # the one-element sets have gathered through every row but the identity's
+        assert sorted(spec._sum_getters) == list(range(1, spec.order))
+        for con in sets:
+            _assert_descriptor_lists_match(spec, con, rng)
 
 
 def test_copy_runs_match_full_gather_on_the_pinned_trees(monkeypatch):

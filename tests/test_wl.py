@@ -54,7 +54,9 @@ from invariants import (
     first_occurrence,
     initial_pair_coloring_oracle,
     is_cayley_partition_oracle,
+    is_translation_invariant_oracle,
     ladder_connection_set,
+    pair_coloring_from_smodule_oracle,
     random_partition,
     relabeled,
     transposed_in_neighbors,
@@ -223,6 +225,58 @@ def test_is_cayley_partition_matches_oracle(moduli, breakage, k, rnd):
     assert got == is_cayley_partition_oracle(c, spec)
     if breakage != "transpose":
         assert got == (breakage == "cayley")
+
+
+@pytest.mark.parametrize("moduli", [(2, 8), (4, 4), (3, 3, 3), (2,) * 5], ids=str)
+def test_difference_rows_match_the_oracle(moduli):
+    """On random partitions, every other one closed under negation with the
+    identity alone, :func:`pair_coloring_from_smodule` builds the difference
+    rows' coloring and :func:`is_cayley_partition` agrees with the oracle;
+    with any one entry changed, the coloring is no Cayley partition."""
+    spec = GroupSpec(moduli)
+    n = spec.order
+    rng = random.Random(34)
+    for trial in range(16):
+        k = 2 + trial % 4
+        labels = [rng.randrange(k) for _ in range(n)]
+        if trial % 2:
+            labels[0] = k
+            for g in range(n):
+                labels[spec.neg(g)] = labels[g]
+        partition = OrderedPartition.from_labels(spec, labels)
+        c = pair_coloring_from_smodule(partition)
+        assert c == pair_coloring_from_smodule_oracle(partition)
+        assert is_translation_invariant_oracle(c, spec)
+        got = is_cayley_partition(c, spec)
+        assert got == is_cayley_partition_oracle(c, spec)
+        assert got or not trial % 2
+        for _ in range(8):
+            at = rng.randrange(n * n)
+            cols = list(c.colors)
+            cols[at] = (cols[at] + rng.randint(1, c.class_count)) % (c.class_count + 1)
+            changed = PairColoring(n, first_occurrence(cols))
+            assert not is_translation_invariant_oracle(changed, spec), at
+            assert not is_cayley_partition(changed, spec), at
+
+
+def test_descriptor_out_lists_add_no_kept_getter():
+    """Out-lists read kept getters but never add one; in-gatherers are kept
+    up to the table limit, and above it every call builds its own."""
+    spec = GroupSpec((13,))
+    CayleyGraph(spec, (1, 2, 5)).out_neighbors
+    assert not spec._sum_getters
+    g = CayleyGraph(spec, (1, 2, 5))
+    list(g.in_colors(range(13)))
+    assert sorted(spec._sum_getters) == [8, 11, 12]
+    # -1, -2, -5 read through the kept getters, as a fresh spec builds them
+    kept = CayleyGraph(spec, (8, 11, 12)).out_neighbors
+    assert kept == CayleyGraph(GroupSpec((13,)), (8, 11, 12)).out_neighbors
+    assert sorted(spec._sum_getters) == [8, 11, 12]
+    large = GroupSpec((4099,))
+    g = CayleyGraph(large, (1, 5, 4098))
+    g.out_neighbors
+    list(g.in_colors(range(4099)))
+    assert not large._sum_getters
 
 
 def test_induced_smodule_examples():
