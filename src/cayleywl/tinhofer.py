@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .groups import GroupSpec, is_prime
 from .partition import dense_rank, label_classes, rank_signatures
-from .wl import CayleyGraph, DiGraph, Graph, VertexColoring, as_digraph
+from .wl import CayleyGraph, Graph, VertexColoring
 
 
 def individualize(c: VertexColoring, *vertices: int) -> VertexColoring:
@@ -37,7 +37,7 @@ def individualize(c: VertexColoring, *vertices: int) -> VertexColoring:
 # ---------------------------------------------------------------------------
 
 def color_bijections(
-    dg: DiGraph, colors: Sequence[int], v0: int, w0: int
+    dg: Graph, colors: Sequence[int], v0: int, w0: int
 ) -> Optional[tuple[int, ...]]:
     """The first color-preserving automorphism of dg with v0 -> w0, or None
     when there is none.
@@ -113,12 +113,12 @@ def color_bijections(
     return tuple(mapping) if k == size else None
 
 
-def coloring_orbits(dg: DiGraph, colors: Sequence[int]) -> tuple[int, ...]:
+def coloring_orbits(dg: Graph, colors: Sequence[int]) -> tuple[int, ...]:
     """Orbit label per vertex under the color-preserving automorphism group.
 
-    A graph with more than half of all arcs is searched as its complement
-    (see :attr:`DiGraph._complement`), which has the same automorphisms.
-    Twins of one color (see :attr:`DiGraph._twins`) are merged first.
+    A digraph or descriptor with more than half of all arcs is searched as
+    its ``_complement``, which has the same automorphisms.  Twins of one
+    color (its ``_twins``) are merged first, as sets, in any list order.
     Orbits are discovered by automorphism searches between the orbit roots
     of each color class; every found automorphism merges all its vertex
     orbits at once.  A vertex that is no longer its own root is skipped on
@@ -355,13 +355,12 @@ def has_tinhofer_property(g: Graph, budget: int = 1_000_000) -> TinhoferReport:
     :func:`_refine_copy`), each copy once per individualized vertex at its
     node.  A failure ends the search, so every node whose children are all
     done holds no failure below it, and a later visit skips it.  Copy runs
-    read a descriptor through its sum rows; only the orbit search reads a
-    digraph, built once after graphs above :data:`TINHOFER_LIMIT`
-    vertices are rejected.
+    and orbit queries read a descriptor through its sum rows, and no
+    digraph is built; graphs above :data:`TINHOFER_LIMIT` vertices are
+    rejected before any row is.
     """
     check_tinhofer_order(g.n)
-    dg = as_digraph(g)
-    n = dg.n
+    n = g.n
     finished: set[_Node] = set()
     orbit_memo: dict[tuple[int, ...], tuple[int, ...]] = {}
 
@@ -372,7 +371,7 @@ def has_tinhofer_property(g: Graph, budget: int = 1_000_000) -> TinhoferReport:
         first = dict(zip(dict.fromkeys(copy_colors), range(n)))
         key = tuple(map(first.__getitem__, copy_colors))
         if key not in orbit_memo:
-            orbit_memo[key] = coloring_orbits(dg, copy_colors)
+            orbit_memo[key] = coloring_orbits(g, copy_colors)
         return orbit_memo[key]
 
     def children(

@@ -33,8 +33,45 @@ class GraphFormatError(ValueError):
         self.position = position
 
 
+class _Adjacency:
+    """The orbit search's caches, read off n and the lists in any order."""
+
+    @cached_property
+    def _out_sets(self) -> tuple[frozenset[int], ...]:
+        return tuple(map(frozenset, self.out_neighbors))
+
+    @cached_property
+    def _in_sets(self) -> tuple[frozenset[int], ...]:
+        return tuple(map(frozenset, self.in_neighbors))
+
+    @cached_property
+    def _twins(self) -> tuple[tuple[int, ...], ...]:
+        """Buckets of two or more twins, vertices of equal out- and in-sets,
+        or equal closed sets (the vertex added): swapping two is an automorphism."""
+        buckets: dict[tuple, list[int]] = {}
+        for v, (outs, ins) in enumerate(zip(self._out_sets, self._in_sets)):
+            buckets.setdefault((False, outs, ins), []).append(v)
+            buckets.setdefault((True, outs | {v}, ins | {v}), []).append(v)
+        return tuple(tuple(twins) for twins in buckets.values() if len(twins) > 1)
+
+    @cached_property
+    def _complement(self) -> DiGraph:
+        """The loopless complement, with the same automorphisms and twin
+        buckets: open twins of the one are closed twins of the other."""
+        everyone = set(range(self.n))
+        outs = [sorted(everyone - heads - {u}) for u, heads in enumerate(self._out_sets)]
+        return DiGraph.from_out_lists(outs)
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return v in self._out_sets[u]
+
+    @property
+    def edge_count(self) -> int:
+        return sum(map(len, self.out_neighbors))
+
+
 @dataclass(frozen=True)
-class DiGraph:
+class DiGraph(_Adjacency):
     """Directed graph without loops; vertices are ``0..n-1``."""
 
     n: int
@@ -73,10 +110,6 @@ class DiGraph:
         return cls.from_out_lists(outs)
 
     @cached_property
-    def _out_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(s) for s in self.out_neighbors)
-
-    @cached_property
     def _in_gatherers(self) -> tuple[itemgetter, ...]:
         """Per vertex, a getter of its in-neighbors' colors (see
         :func:`gatherer`), so a color-refinement round gathers each
@@ -89,50 +122,17 @@ class DiGraph:
         # itemgetter.__call__ rather than operator.call, which needs Python 3.11
         return map(itemgetter.__call__, self._in_gatherers, repeat(colors))
 
-    @cached_property
-    def _in_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(s) for s in self.in_neighbors)
-
-    @cached_property
-    def _twins(self) -> tuple[tuple[int, ...], ...]:
-        """Buckets of two or more twins, vertices with equal out- and in-lists
-        or equal closed lists (each list with the vertex itself added):
-        swapping two twins and fixing the rest is an automorphism."""
-        buckets: dict[tuple, list[int]] = {}
-        for v, (outs, ins) in enumerate(zip(self.out_neighbors, self.in_neighbors)):
-            buckets.setdefault((False, outs, ins), []).append(v)
-            closed = (True, tuple(sorted((*outs, v))), tuple(sorted((*ins, v))))
-            buckets.setdefault(closed, []).append(v)
-        return tuple(tuple(twins) for twins in buckets.values() if len(twins) > 1)
-
-    @cached_property
-    def _complement(self) -> DiGraph:
-        """The loopless complement.  It has the same automorphisms, and
-        the same twin buckets: open twins of the one are closed twins of
-        the other."""
-        everyone = set(range(self.n))
-        return DiGraph.from_out_lists(
-            [sorted(everyone - heads - {u}) for u, heads in enumerate(self._out_sets)]
-        )
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self._out_sets[u]
-
-    @property
-    def edge_count(self) -> int:
-        return sum(len(s) for s in self.out_neighbors)
-
 
 @dataclass(frozen=True)
-class CayleyGraph:
+class CayleyGraph(_Adjacency):
     """Cayley graph descriptor: edges ``h -> s + h`` for connection elements s.
 
-    Its lists are read off the sum rows of its spec.  Its in-gatherers come
-    from :meth:`GroupSpec.sum_getter`, which keeps them on the spec up to the
-    addition table's limit, so descriptors over one spec share them.  Its
-    out-lists read a row through the getter the spec keeps, if any, and
-    build it otherwise, adding none to the spec: a descriptor keeps no more
-    rows than its in-gatherers hold."""
+    Its lists are read off the sum rows of its spec, and every path, the
+    orbit search included, reads them as given: only :meth:`digraph`, the
+    tests' reference, builds a digraph.  Its in-gatherers and in-lists read
+    the getters :meth:`GroupSpec.sum_getter` keeps on the spec up to the
+    addition table's limit.  Its out-lists read a row through a kept
+    getter, if any, and build it otherwise, adding none to the spec."""
 
     spec: GroupSpec
     con: tuple[int, ...]
@@ -168,6 +168,11 @@ class CayleyGraph:
             return [()] * self.n
         return zip(*map(itemgetter.__call__, self._in_gatherers, repeat(colors)))
 
+    @cached_property
+    def in_neighbors(self) -> list[tuple[int, ...]]:
+        """Per vertex x, its tails ``x - s`` in connection-set order."""
+        return list(self.in_colors(self.spec._ids))
+
     def digraph(self) -> DiGraph:
         return build_cayley(self.spec, self.con)
 
@@ -181,10 +186,6 @@ def build_cayley(spec: GroupSpec, con: Iterable[int]) -> DiGraph:
     return DiGraph.from_out_lists(
         [sorted(heads) for heads in zip(*rows)] if rows else [()] * spec.order
     )
-
-
-def as_digraph(g: Graph) -> DiGraph:
-    return g.digraph() if isinstance(g, CayleyGraph) else g
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,6 @@ from cayleywl.partition import RefinementTrace, dense_rank, label_classes, rank_
 from cayleywl.wl import (
     DiGraph,
     PairColoring,
-    as_digraph,
     coloring_from_partition,
     cr_stabilize,
     initial_cayley_smodule,
@@ -60,6 +59,11 @@ from cayleywl.wl import (
 # ---------------------------------------------------------------------------
 # oracles (independent recomputations)
 # ---------------------------------------------------------------------------
+
+def as_digraph(g) -> DiGraph:
+    """g itself, or the digraph a Cayley descriptor's sum rows build."""
+    return g.digraph() if isinstance(g, CayleyGraph) else g
+
 
 def conv_oracle(spec: GroupSpec, u: GroupRingElement, v: GroupRingElement) -> tuple[int, ...]:
     """Convolution recomputed on residue tuples with a dict accumulator."""

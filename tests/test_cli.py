@@ -275,16 +275,56 @@ def test_tinhofer_check_long_directed_cycle(capsys):
     assert run(capsys, "tinhofer-check", "Z1200:1") == (0, payload, "")
 
 
+# the descriptors of CI's Tinhofer steps: the Z2xZ8 tail, the Z3^3
+# complement of {1, 2, 5, 7} and Z1024 with every element but 0 and 512
+_Z2XZ8_TAIL = "Z2xZ8:" + ",".join(f"({a},{b})" for a in range(2) for b in range(2, 7))
+_Z3_CUBED_DENSE = "Z3xZ3xZ3:" + ",".join(
+    f"({a},{b},{c})"
+    for a in range(3) for b in range(3) for c in range(3)
+    if (a, b, c) not in {(0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 1, 2), (0, 2, 1)}
+)
+_Z1024_DENSE = "Z1024:" + ",".join(str(s) for s in range(1, 1024) if s != 512)
+
+
+@pytest.mark.parametrize(
+    "argv, status, nodes, certificate",
+    [
+        (["Z4xZ4:(1,0),(3,0),(0,1),(0,3),(1,1),(3,3)"], "false", 11, [[0, 0], [2, 2], [8, 9]]),
+        ([_Z2XZ8_TAIL, "--max-nodes", "300"], "budget-exceeded", 301, None),
+        ([_Z3_CUBED_DENSE, "--max-nodes", "300"], "budget-exceeded", 301, None),
+        ([_Z1024_DENSE, "--max-nodes", "5"], "budget-exceeded", 6, None),
+        (["Z1200:1"], "true", 2, None),
+        (["Z8:2,6"], "true", 10, None),
+    ],
+    ids=["counterexample", "Z2xZ8-tail", "Z3^3-dense", "Z1024-dense", "Z1200:1", "Z8:2,6"],
+)
+def test_tinhofer_check_builds_no_digraph_from_a_descriptor(
+    capsys, monkeypatch, argv, status, nodes, certificate
+):
+    """Every answer of the search on a descriptor, orbit queries included,
+    comes with build_cayley and CayleyGraph.digraph refusing to run."""
+
+    def refused(*args):
+        raise AssertionError("a digraph was built from a descriptor")
+
+    monkeypatch.setattr(cayleywl.wl, "build_cayley", refused)
+    monkeypatch.setattr(cayleywl.wl.CayleyGraph, "digraph", refused)
+    prop = {"true": True, "false": False}.get(status)
+    want = {"certificate": certificate, "nodes": nodes, "property": prop, "status": status}
+    code, out, err = run(capsys, "tinhofer-check", *argv)
+    assert (code, json.loads(out), err) == (0, want, "")
+
+
 def test_tinhofer_check_rejects_graphs_above_its_size_limit(capsys, monkeypatch):
-    """Z2049:1 exits 1 before its digraph is built; Z2048:1 gets past the
-    guard (stopped here at building the digraph)."""
+    """Z2049:1 exits 1 before any sum row is built; Z2048:1 gets past the
+    guard (stopped here at its first sum row)."""
     built = []
 
-    def stopped(spec, con):
+    def stopped(spec, a):
         built.append(spec.order)
-        raise ValueError("stopped at build_cayley")
+        raise ValueError("stopped at sum_row")
 
-    monkeypatch.setattr(cayleywl.wl, "build_cayley", stopped)
+    monkeypatch.setattr(GroupSpec, "sum_row", stopped)
     assert TINHOFER_LIMIT == 2048
     assert run(capsys, "tinhofer-check", "Z2049:1") == (
         1, "", "cayleywl: tinhofer-check limited to at most 2048 vertices, got 2049\n"
@@ -292,7 +332,7 @@ def test_tinhofer_check_rejects_graphs_above_its_size_limit(capsys, monkeypatch)
     assert built == []
     code, _, err = run(capsys, "tinhofer-check", "Z2048:1")
     assert (code, built) == (1, [2048])
-    assert "stopped at build_cayley" in err
+    assert "stopped at sum_row" in err
 
 
 def test_malformed_graph_usage_error(capsys):

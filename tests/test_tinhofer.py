@@ -645,9 +645,12 @@ def test_coloring_orbits_match_oracle_on_cayley_graphs(case):
     """Orbits of stable node colorings reached by individualization, and
     the automorphism each orbit query looks for.  (The oracle places
     vertices in index order, so on disconnected or uniformly colored graphs
-    it can backtrack for minutes.)"""
+    it can backtrack for minutes.)  The descriptor's orbits are the
+    digraph's."""
     dg, stable = _individualized_stable(case)
-    assert coloring_orbits(dg, stable) == coloring_orbits_oracle(dg, stable)
+    g = CayleyGraph(GroupSpec(case[0]), tuple(case[1]))
+    want = coloring_orbits_oracle(dg, stable)
+    assert coloring_orbits(g, stable) == coloring_orbits(dg, stable) == want
     classes: dict[int, list[int]] = {}
     for v, c in enumerate(stable):
         classes.setdefault(c, []).append(v)
@@ -657,6 +660,44 @@ def test_coloring_orbits_match_oracle_on_cayley_graphs(case):
             want = next(color_bijections_oracle(dg, dg, stable, stable, [(first, v)]), None)
             assert (found is None) == (want is None)
             assert found is None or _is_automorphism(dg, stable, found)
+
+
+_Z2xZ8 = GroupSpec((2, 8))
+
+
+@pytest.mark.parametrize(
+    "moduli, con, twins",
+    [
+        ((2, 8), (1, 2, 9), False),
+        ((3, 3), (1, 3, 4), False),
+        ((8,), (2, 6), True),
+        ((2, 8), tuple(map(_Z2xZ8.index, [(0, 1), (1, 1), (0, 3), (1, 3)])), True),
+        ((3, 3, 3), tuple(set(range(1, 27)) - {1, 2, 5, 7}), False),
+    ],
+    ids=["Z2xZ8:1,2,9", "Z3xZ3:1,3,4", "Z8:2,6", "Z2xZ8:S+(1,0)=S", "Z3^3-dense"],
+)
+def test_coloring_orbits_read_a_descriptor_as_its_digraph(moduli, con, twins):
+    """A descriptor's orbit caches are its digraph's, whatever order its
+    lists hold: the same twin buckets, also where twins list their heads
+    in different orders (Z8:2,6, and Z2xZ8 with S + (1, 0) = S), and the
+    same complement, which the dense set's orbit queries search.  Its
+    orbits on stable colorings with one or two seeded vertices
+    individualized are its digraph's and the oracle's; the directed sets
+    have in(x) != out(x)."""
+    g = CayleyGraph(GroupSpec(moduli), con)
+    dg = g.digraph()
+    assert (g._out_sets, g._in_sets) == (dg._out_sets, dg._in_sets)
+    assert g._twins == dg._twins and bool(g._twins) == twins
+    assert g._complement == dg._complement
+    assert coloring_orbits(g, (0,) * g.n) == coloring_orbits(dg, (0,) * g.n)
+    rng = random.Random(35)
+    for depth in (1, 1, 2, 2):
+        coloring = uniform_coloring(g.n)
+        for _ in range(depth):
+            coloring = individualize(cr_stabilize(g, coloring).final, rng.randrange(g.n))
+        stable = cr_stabilize(g, coloring).final.colors
+        want = coloring_orbits_oracle(dg, stable)
+        assert coloring_orbits(g, stable) == coloring_orbits(dg, stable) == want
 
 
 # ---------------------------------------------------------------------------
@@ -772,7 +813,8 @@ def test_tinhofer_search_tree_is_pinned(
     per distinct partition of a copy at a splitting node.  A splitting node
     refines each of its copy colorings once per tried vertex, so a search
     that tries every pair makes exactly one copy run per distinct (copy
-    coloring, vertex) of each node."""
+    coloring, vertex) of each node.  Each orbit query reads the descriptor,
+    and answers as on its digraph."""
     queried, orbits_of, split, runs = [], {}, [], []
     eligible_of = tinhofer._eligible
     refine_copy = tinhofer._refine_copy
@@ -780,6 +822,8 @@ def test_tinhofer_search_tree_is_pinned(
     def counted_orbits(dg, colors):
         queried.append(label_classes(colors))
         orbits_of[queried[-1]] = coloring_orbits(dg, colors)
+        assert isinstance(dg, CayleyGraph)
+        assert orbits_of[queried[-1]] == coloring_orbits(dg.digraph(), colors)
         return orbits_of[queried[-1]]
 
     def recorded_eligible(c_g, c_h):
@@ -916,13 +960,14 @@ def _assert_descriptor_lists_match(spec, con, rng):
     assert len(g.out_neighbors) == len(ins) == dg.n
     for v, (heads, gathered) in enumerate(zip(g.out_neighbors, ins)):
         assert sorted(heads) == list(dg.out_neighbors[v])
+        assert sorted(g.in_neighbors[v]) == list(dg.in_neighbors[v])
         assert sorted(gathered) == sorted(colors[u] for u in dg.in_neighbors[v])
     assert g == CayleyGraph(spec, con) and hash(g) == hash(CayleyGraph(spec, con))
 
 
 def test_descriptor_lists_match_its_digraph():
-    """Vertex by vertex, a descriptor's out-lists and in-neighbor colors
-    hold what its digraph's do, as multisets, under distinct colors; its
+    """Vertex by vertex, a descriptor's out-lists, in-lists and in-neighbor
+    colors hold what its digraph's do, as multisets, under distinct colors; its
     caches keep it equal to a fresh descriptor.  A group's sets share one
     spec, checked as its kept sum-row getters fill and again once it keeps
     every row; Z2xZ8:1,2,9 and Z3xZ3:1,3,4 are directed, in(x) != out(x)."""
