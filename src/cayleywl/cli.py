@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 from pathlib import Path
@@ -292,6 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # no command leaves a reference cycle, so the cyclic collector's passes
+    # over its many live tuples and lists would free nothing
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         _emit(args.func(args), args.out)
         return 0
@@ -301,6 +306,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (BoundViolation, EngineMismatch, CounterexampleMismatch) as exc:
         print(f"cayleywl: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ same refinement much faster, and the two are cross-validated in tests.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 from itertools import accumulate, chain, repeat
@@ -55,7 +55,7 @@ class _Adjacency:
         return tuple(tuple(twins) for twins in buckets.values() if len(twins) > 1)
 
     @cached_property
-    def _complement(self) -> DiGraph:
+    def _complement(self) -> Graph:
         """The loopless complement, with the same automorphisms and twin
         buckets: open twins of the one are closed twins of the other."""
         everyone = set(range(self.n))
@@ -72,24 +72,16 @@ class _Adjacency:
 
 @dataclass(frozen=True)
 class DiGraph(_Adjacency):
-    """Directed graph without loops; vertices are ``0..n-1``."""
+    """Directed graph without loops; vertices are ``0..n-1``.  Its out-lists
+    are its one field: the in-lists are built on first read."""
 
     n: int
     out_neighbors: tuple[tuple[int, ...], ...]
-    in_neighbors: tuple[tuple[int, ...], ...]
 
     @classmethod
     def from_out_lists(cls, outs: Sequence[Sequence[int]]) -> DiGraph:
-        """Digraph from ascending, duplicate-free out-lists of in-range heads.
-        The in-lists come out ascending because tails are visited in order."""
-        ins: list = [[] for _ in outs]
-        for u, heads in enumerate(outs):
-            for v in heads:
-                ins[v].append(u)
-        # each in-list is freed as soon as its tuple exists
-        for v, tails in enumerate(ins):
-            ins[v] = tuple(tails)
-        return cls(len(outs), tuple(map(tuple, outs)), tuple(ins))
+        """Digraph from ascending, duplicate-free out-lists of in-range heads."""
+        return cls(len(outs), tuple(map(tuple, outs)))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> DiGraph:
@@ -108,6 +100,20 @@ class DiGraph(_Adjacency):
         for u, heads in enumerate(outs):
             outs[u] = sorted(set(heads))
         return cls.from_out_lists(outs)
+
+    @cached_property
+    def in_neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex, its tails, ascending because tails are visited in
+        order; read by the orbit search and :meth:`in_colors`, not by
+        :func:`cr_refine`, so it is built on first read."""
+        ins: list = [[] for _ in range(self.n)]
+        for u, heads in enumerate(self.out_neighbors):
+            for v in heads:
+                ins[v].append(u)
+        # each in-list is freed as soon as its tuple exists
+        for v, tails in enumerate(ins):
+            ins[v] = tuple(tails)
+        return tuple(ins)
 
     @cached_property
     def _in_gatherers(self) -> tuple[itemgetter, ...]:
@@ -172,6 +178,13 @@ class CayleyGraph(_Adjacency):
     def in_neighbors(self) -> list[tuple[int, ...]]:
         """Per vertex x, its tails ``x - s`` in connection-set order."""
         return list(self.in_colors(self.spec._ids))
+
+    @cached_property
+    def _complement(self) -> CayleyGraph:
+        """The loopless complement as a descriptor, Cay(G, G minus con and
+        the identity): no out-set of this graph is built."""
+        rest = set(range(self.n)) - {self.spec.identity, *self.con}
+        return CayleyGraph(self.spec, tuple(rest))
 
     def digraph(self) -> DiGraph:
         return build_cayley(self.spec, self.con)
@@ -246,8 +259,8 @@ def check_wl2_order(n: int) -> None:
         raise ValueError(f"wl2 limited to graphs of at most {WL2_LIMIT} vertices, got {n}")
 
 
-# cr at this size: Z2097152:1 with a vertex individualized ran 17 s at
-# 737 MB max RSS, the same directed cycle read from a file 29 s at 898 MB
+# cr at this size: Z2097152:1 with a vertex individualized ran 9 s at
+# 737 MB max RSS, the same directed cycle read from a file 12 s at 717 MB
 CR_LIMIT = 1 << 21
 
 
@@ -444,15 +457,14 @@ def cr_refine(g: Graph, c: VertexColoring) -> RefinementTrace:
     The cells live in one permutation list, each a run ``start``, ``size``
     of it.  Splits wait until a round's gather ends, so rounds stay
     synchronous, and a split moves only the vertices it regroups to the end
-    of their cell's run: the rest keeps the cell in place.  A Cayley graph
-    descriptor takes its out-lists from its sum rows; no in-lists are built.
+    of their cell's run: the rest keeps the cell in place.  It reads the
+    out-lists alone, a Cayley graph descriptor's off its sum rows, and
+    counts the in-degrees off them: no in-lists are built.
     """
     n = g.n
     if c.n != n:
         raise ValueError("coloring does not match graph size")
     outs: Sequence[Sequence[int]] = g.out_neighbors
-    # every in-degree of a descriptor is |con|, which splits nothing
-    ins: Sequence[Sequence[int]] = () if isinstance(g, CayleyGraph) else g.in_neighbors
 
     members: list[list[int]] = [[] for _ in range(c.class_count)]
     for v, color in enumerate(c.colors):
@@ -469,8 +481,13 @@ def cr_refine(g: Graph, c: VertexColoring) -> RefinementTrace:
     # round 1 gathers every start class but one largest, and the in-degree
     splitters = sorted(range(len(size)), key=size.__getitem__)[:-1]
     hits: dict[int, list[int]] = defaultdict(list)
-    if len(set(map(len, ins))) > 1:
-        hits.update((v, [~len(tails)]) for v, tails in enumerate(ins))
+    # every in-degree of a descriptor is |con|, which splits nothing; a
+    # vertex that heads no arc has no key in the count, which reads it as 0
+    if not isinstance(g, CayleyGraph):
+        degree = Counter(chain.from_iterable(outs))
+        if len(set(map(degree.__getitem__, range(n)))) > 1:
+            hits.update((v, [~degree[v]]) for v in range(n))
+        del degree
     while len(size) < n:
         for k, x in enumerate(splitters):
             at = start[x]

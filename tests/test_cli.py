@@ -810,3 +810,72 @@ def test_sweep_empty_order_range(capsys):
     code, out, err = run(capsys, "sweep", "--n-min", "5", "--n-max", "3")
     assert code == 1 and out == ""
     assert "empty" in err
+
+
+# every command, on a descriptor and on a file where it reads both, sweeps
+# without and with a worker pool, an exit 2 and an exit 1
+PAUSED_COMMANDS = {
+    "wl2-descriptor": (["wl2", "Z9:1,3,6,8"], 0),
+    "wl2-file": (["wl2", "{file}"], 0),
+    "smodule": (["smodule", "Z9:1,3,6,8"], 0),
+    "cr-descriptor": (["cr", "Z7:1,6", "--individualize", "0"], 0),
+    "cr-file": (["cr", "{file}", "--individualize", "0"], 0),
+    "tinhofer-check": (["tinhofer-check", "Z4xZ4:(1,0),(3,0),(0,1),(0,3),(1,1),(3,3)"], 0),
+    "canon": (["canon", "Z13:1,2"], 0),
+    "spectrum": (["spectrum", "Z7:1,6"], 0),
+    "sweep-jobs1": (["sweep", "--n-min", "2", "--n-max", "7", "--cross-check", "--jobs", "1"], 0),
+    "sweep-jobs2": (["sweep", "--n-min", "2", "--n-max", "7", "--cross-check", "--jobs", "2"], 0),
+    "counterexample": (["counterexample"], 2),
+    "bad-input": (["cr", "Z7:1,9"], 1),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, code", list(PAUSED_COMMANDS.values()), ids=list(PAUSED_COMMANDS)
+)
+def test_commands_leave_no_cyclic_garbage(tmp_path, capsys, argv, code):
+    """``main`` pauses the cyclic collector for the command it runs, which
+    loses nothing only while no command leaves a reference cycle: with the
+    collector off throughout, a collection after the command finds
+    nothing.  The parser's one-time build, which does leave cycles, runs
+    first."""
+    path = tmp_path / "two-triangles.adj"
+    path.write_text("6\n0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n0 3\n")
+    argv = [str(path) if arg == "{file}" else arg for arg in argv]
+    build_parser()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert run(capsys, *argv)[0] == code
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["cr", "Z7:1,6"], 0), (["cr", "Z7:1,9"], 1), (["counterexample"], 2)],
+    ids=["exit-0", "exit-1", "exit-2"],
+)
+def test_main_restores_the_collector(capsys, monkeypatch, enabled, argv, code):
+    """The command's output is emitted with the collector off, and ``main``
+    leaves the collector as it found it, on or off, whatever its exit code."""
+    seen = []
+    emit = cayleywl.cli._emit
+
+    def recorded(text, out):
+        seen.append(gc.isenabled())
+        emit(text, out)
+
+    monkeypatch.setattr(cayleywl.cli, "_emit", recorded)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert run(capsys, *argv)[0] == code
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == ([False] if code == 0 else [])

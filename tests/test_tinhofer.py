@@ -680,15 +680,15 @@ def test_coloring_orbits_read_a_descriptor_as_its_digraph(moduli, con, twins):
     """A descriptor's orbit caches are its digraph's, whatever order its
     lists hold: the same twin buckets, also where twins list their heads
     in different orders (Z8:2,6, and Z2xZ8 with S + (1, 0) = S), and the
-    same complement, which the dense set's orbit queries search.  Its
-    orbits on stable colorings with one or two seeded vertices
-    individualized are its digraph's and the oracle's; the directed sets
-    have in(x) != out(x)."""
+    same complement, a descriptor of the same arcs, which the dense set's
+    orbit queries search.  Its orbits on stable colorings with one or two
+    seeded vertices individualized are its digraph's and the oracle's; the
+    directed sets have in(x) != out(x)."""
     g = CayleyGraph(GroupSpec(moduli), con)
     dg = g.digraph()
     assert (g._out_sets, g._in_sets) == (dg._out_sets, dg._in_sets)
     assert g._twins == dg._twins and bool(g._twins) == twins
-    assert g._complement == dg._complement
+    assert g._complement.digraph() == dg._complement
     assert coloring_orbits(g, (0,) * g.n) == coloring_orbits(dg, (0,) * g.n)
     rng = random.Random(35)
     for depth in (1, 1, 2, 2):

@@ -98,6 +98,20 @@ def test_from_edges_collapses_duplicates_and_keeps_isolated_vertices():
     assert g.edge_count == 4
 
 
+def test_file_in_lists_are_built_on_first_read():
+    """``cr_refine`` and the pair engine read a parsed file's out-lists
+    alone, so neither builds its in-lists; read later, they are the
+    transposed out-lists, each ascending."""
+    text = "6\n3 0\n0 3\n1 3\n0 1\n4 1\n5 1\n"
+    g = parse_adjacency(io.StringIO(text))
+    cr_refine(g, individualize(uniform_coloring(6), 0))
+    assert "in_neighbors" not in g.__dict__
+    g = parse_adjacency(io.StringIO(text))
+    wl2_stabilize(g)
+    assert "in_neighbors" not in g.__dict__
+    assert g.in_neighbors == transposed_in_neighbors(g) == ((3,), (0, 4, 5), (), (0, 1), (), ())
+
+
 @pytest.mark.parametrize(
     "moduli, con",
     [
@@ -659,6 +673,24 @@ def individualized_digraphs(draw, max_n=9):
 @example((DiGraph.from_edges(5, [(4, 1), (4, 2), (3, 2)]), VertexColoring(5, (0, 0, 0, 1, 1))))
 def test_cr_refine_matches_cr_stabilize_on_digraphs(case):
     _assert_cr_refine_matches_stabilize(*case)
+
+
+@given(mixed_in_degree_digraphs())
+# in-degrees 0 and 1 only: the vertices of in-degree 0 are the ones the
+# in-degree count holds no key for
+@example((DiGraph.from_edges(3, [(0, 1)]), [set(), {0}, set()], uniform_coloring(3)))
+def test_cr_refine_splits_by_in_degree(case):
+    """Vertices of in-degree 0, 1 and 2 or more, from a random or the
+    uniform coloring: ``cr_refine`` counts the in-degrees off the out-lists,
+    with no in-lists built, and its traces are ``cr_stabilize``'s."""
+    dg, _, c = case
+    starts = (c, uniform_coloring(dg.n))
+    got = [cr_refine(dg, start) for start in starts]
+    assert "in_neighbors" not in dg.__dict__
+    for trace, start in zip(got, starts):
+        want = cr_stabilize(dg, start)
+        assert (trace.rounds, trace.class_counts) == (want.rounds, want.class_counts)
+        assert trace.final == want.final.classes()
 
 
 @pytest.mark.parametrize("group", ["Z4xZ4", "Z2xZ8", "Z2xZ2xZ4", "Z3xZ9"])
